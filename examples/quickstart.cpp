@@ -6,6 +6,7 @@
 // driven through the high-level core API.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
@@ -39,8 +40,16 @@ int main() {
   std::cout << "redesign iterations (closing the loop): " << result.redesigns << "\n\n";
 
   core::Table table({"performance", "spec", "pre-layout", "post-layout"});
-  const auto& pre = result.verifications.front().measured;
-  const auto& post = result.verifications.back().measured;
+  // The final attempt's post-layout record, beside the pre-layout record of
+  // that same attempt (earlier attempts were redesigned away).
+  const auto& final = result.verifications.back();
+  const auto preRec =
+      std::find_if(result.verifications.begin(), result.verifications.end(),
+                   [&](const core::VerificationRecord& v) {
+                     return v.stage == "pre-layout" && v.attempt == final.attempt;
+                   });
+  const auto& pre = preRec->measured;
+  const auto& post = final.measured;
   table.addRow({"gain (dB)", ">= 65", core::Table::num(pre.at("gain_db")),
                 core::Table::num(post.at("gain_db"))});
   table.addRow({"UGF (MHz)", ">= 3", core::Table::num(pre.at("ugf") / 1e6),

@@ -68,7 +68,7 @@ CellLayoutResult layoutCellGeometry(const circuit::Netlist& net,
       const auto stacking = layout::greedyStacking(graph);
       for (const auto& stack : stacking.stacks) {
         if (stack.elements.size() < 2) continue;  // singles handled below
-        std::vector<layout::StackedDevice> devs;
+        std::vector<layout::StackedDevice> chain;
         for (const auto& el : stack.elements) {
           const auto& e = graph.edges[el.edge];
           layout::StackedDevice sd;
@@ -78,14 +78,28 @@ CellLayoutResult layoutCellGeometry(const circuit::Netlist& net,
           sd.gateNet = e.gateNet;
           sd.rightNet = graph.nets[el.flipped ? e.a : e.b];
           sd.bulkNet = e.bulkNet;
-          devs.push_back(std::move(sd));
-          stacked.insert(e.device);
+          chain.push_back(std::move(sd));
         }
-        layout::PlacementComponent comp;
-        comp.name = "stack" + std::to_string(stackId++);
-        comp.variants = {layout::generateMosStack(comp.name, devs, proc)};
-        components.push_back(std::move(comp));
-        result.stackedDevices += devs.size();
+        // A graph groups widths against its first device, so a chain's own
+        // ends can differ by more than one stack accepts.  Split it into
+        // maximal runs that generateMosStack takes; a run of one device
+        // goes down the single-device path below.
+        for (std::size_t begin = 0, end = 0; begin < chain.size(); begin = end) {
+          end = begin + 1;
+          while (end < chain.size() &&
+                 layout::stackableWidth(chain[begin].mos, chain[end].mos))
+            ++end;
+          if (end - begin < 2) continue;
+          const std::vector<layout::StackedDevice> devs(
+              chain.begin() + static_cast<std::ptrdiff_t>(begin),
+              chain.begin() + static_cast<std::ptrdiff_t>(end));
+          for (const auto& sd : devs) stacked.insert(sd.name);
+          layout::PlacementComponent comp;
+          comp.name = "stack" + std::to_string(stackId++);
+          comp.variants = {layout::generateMosStack(comp.name, devs, proc)};
+          components.push_back(std::move(comp));
+          result.stackedDevices += devs.size();
+        }
       }
     }
   }

@@ -134,6 +134,7 @@ struct FlowOptions {
 /// Record of one verification: measured performances vs the spec verdict.
 struct VerificationRecord {
   std::string stage;  ///< "pre-layout" or "post-layout"
+  std::size_t attempt = 0;  ///< the redesign attempt that produced it
   sizing::Performance measured;
   bool passed = false;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <thread>
 #include <utility>
 
@@ -399,6 +400,7 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
   if (phase_ == VerifyPhase::PreLayout) {
     VerificationRecord pre;
     pre.stage = "pre-layout";
+    pre.attempt = ctx.attempt;
     bool any = false;
     circuit::Netlist schematic;
     for (auto& cand : ctx.candidates) {
@@ -449,6 +451,7 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
 
   VerificationRecord post;
   post.stage = "post-layout";
+  post.attempt = ctx.attempt;
   post.measured = measureAmplifier(ctx.result.cell.annotated, ctx.proc,
                                    ctx.opts.testbench, budget);
   post.passed = !post.measured.count("_infeasible") &&
@@ -476,7 +479,14 @@ StageOutcome VerifyStage::run(DesignContext& ctx) {
 StageOutcome LayoutStage::run(DesignContext& ctx) {
   CellLayoutOptions lopts = ctx.opts.layout;
   lopts.seed = ctx.opts.seed + ctx.attempt;
-  ctx.result.cell = layoutCellGeometry(ctx.result.schematic, ctx.proc, lopts);
+  try {
+    ctx.result.cell = layoutCellGeometry(ctx.result.schematic, ctx.proc, lopts);
+  } catch (const std::exception& e) {
+    return StageOutcome::fail(std::string("cell layout threw: ") + e.what(),
+                              classifyCurrentException());
+  } catch (...) {
+    return StageOutcome::fail("cell layout threw", classifyCurrentException());
+  }
   if (!ctx.result.cell.success)
     return StageOutcome::fail("cell layout failed (placement/routing)", EvalStatus::Ok);
   return StageOutcome::pass();

@@ -114,6 +114,11 @@ CellMaster generateMos(const std::string& name, const circuit::MosParams& mos,
   return m;
 }
 
+bool stackableWidth(const circuit::MosParams& first, const circuit::MosParams& device) {
+  const double w = first.w * first.m;
+  return std::abs(device.w * device.m - w) <= 0.05 * w;
+}
+
 CellMaster generateMosStack(const std::string& name,
                             const std::vector<StackedDevice>& devices, const Process& proc) {
   if (devices.empty()) throw std::invalid_argument("generateMosStack: no devices");
@@ -124,7 +129,7 @@ CellMaster generateMosStack(const std::string& name,
       throw std::invalid_argument("generateMosStack: diffusion nets do not chain");
     if (devices[i + 1].mos.type != type)
       throw std::invalid_argument("generateMosStack: mixed device types");
-    if (std::abs(devices[i + 1].mos.w * devices[i + 1].mos.m - w) > 0.05 * w)
+    if (!stackableWidth(devices.front().mos, devices[i + 1].mos))
       throw std::invalid_argument("generateMosStack: width mismatch > 5%");
   }
 

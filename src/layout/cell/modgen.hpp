@@ -39,7 +39,7 @@ geom::CellMaster generateMos(const std::string& name, const circuit::MosParams& 
 
 /// Generate a merged diffusion stack: devices[i] and devices[i+1] share a
 /// diffusion region carrying `sharedNet[i]`.  All devices must be the same
-/// type and (near-)equal width — the stack extractor guarantees this.
+/// type, and each must pass stackableWidth against the first device.
 struct StackedDevice {
   std::string name;
   circuit::MosParams mos;
@@ -51,6 +51,10 @@ struct StackedDevice {
 geom::CellMaster generateMosStack(const std::string& name,
                                   const std::vector<StackedDevice>& devices,
                                   const circuit::Process& proc);
+
+/// May `device` join a merged stack that starts with `first`?  Their
+/// effective widths (W*m) must agree within 5% of the first device's.
+bool stackableWidth(const circuit::MosParams& first, const circuit::MosParams& device);
 
 /// Poly serpentine resistor sized from the process sheet resistance.
 geom::CellMaster generateResistor(const std::string& name, double ohms,

@@ -53,18 +53,6 @@ bool hasOverlaps(const std::vector<CellInstance>& instances, Coord spacing) {
 
 namespace {
 
-double overlapArea(const std::vector<CellInstance>& instances, Coord spacing) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Rect a = instances[i].boundingBox().inflated(spacing / 2);
-    for (std::size_t j = i + 1; j < instances.size(); ++j) {
-      const Rect o = a.intersect(instances[j].boundingBox().inflated(spacing / 2));
-      total += static_cast<double>(o.area());
-    }
-  }
-  return total;
-}
-
 /// The mirrored counterpart of an orientation about a vertical axis.
 Orientation mirrored(Orientation o) {
   switch (o) {
@@ -80,61 +68,170 @@ Orientation mirrored(Orientation o) {
   return Orientation::MX;
 }
 
+/// One placement configuration: a layout variant and a transform per
+/// component.
 struct PlacerState {
-  const std::vector<PlacementComponent>* components;
-  PlacerOptions opts;
   std::vector<std::size_t> variant;
   std::vector<Transform> xform;
-  std::vector<std::ptrdiff_t> peer;  // index of symmetry partner or -1
+};
 
-  std::vector<CellInstance> instances() const {
-    std::vector<CellInstance> out;
-    out.reserve(components->size());
-    for (std::size_t i = 0; i < components->size(); ++i) {
-      out.push_back(CellInstance{(*components)[i].name,
-                                 &(*components)[i].variants[variant[i]], xform[i]});
+/// The placer's cost model.  Built once per placeCells call: every
+/// (component, variant) master's bounding box, and its pins as (net id,
+/// rect).  Net ids follow net-name order, so per-net sums run in the order
+/// a name-keyed map would iterate.  layOut() transforms the boxes of one
+/// state into `boxes`; every cost term reads them.
+class PlacerModel {
+ public:
+  PlacerModel(const std::vector<PlacementComponent>& components, const PlacerOptions& opts)
+      : components_(components), opts_(opts), peer_(components.size(), -1) {
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      if (!components[i].symmetryPeer) continue;
+      for (std::size_t j = 0; j < components.size(); ++j)
+        if (components[j].name == *components[i].symmetryPeer) peer_[i] = j;
     }
-    return out;
+    std::map<std::string, int> netId;
+    for (const auto& c : components)
+      for (const auto& v : c.variants)
+        for (const auto& pin : v.pins)
+          if (!pin.name.empty()) netId.emplace(pin.name, 0);
+    for (auto& [net, id] : netId) {
+      id = static_cast<int>(netWeight_.size());
+      auto w = opts.netWeights.find(net);
+      netWeight_.push_back(w == opts.netWeights.end() ? 1.0 : w->second);
+    }
+    netBox_.resize(netWeight_.size());
+    netSeen_.resize(netWeight_.size());
+    masters_.resize(components.size());
+    for (std::size_t i = 0; i < components.size(); ++i)
+      for (const auto& v : components[i].variants) {
+        Master m{v.boundingBox(), {}};
+        for (const auto& pin : v.pins)
+          if (!pin.name.empty()) m.pins.push_back({netId.at(pin.name), pin.rect});
+        masters_[i].push_back(std::move(m));
+      }
+    boxes.resize(components.size());
   }
 
-  double symmetryError(const std::vector<CellInstance>& inst) const {
+  std::ptrdiff_t peer(std::size_t i) const { return peer_[i]; }
+
+  /// Bounding box of component i as variant v under transform t.
+  Rect box(std::size_t i, std::size_t v, const Transform& t) const {
+    return t.apply(masters_[i][v].box);
+  }
+
+  void layOut(const PlacerState& s) {
+    for (std::size_t i = 0; i < boxes.size(); ++i) boxes[i] = box(i, s.variant[i], s.xform[i]);
+  }
+
+  Rect boundingBox() const {
+    Rect bb;
+    for (const Rect& b : boxes) bb = bb.unionWith(b);
+    return bb;
+  }
+
+  /// Half-perimeter wirelength over all nets, sensitivity-weighted or not.
+  double wirelength(const PlacerState& s, bool weighted) {
+    std::fill(netSeen_.begin(), netSeen_.end(), 0);
+    for (std::size_t i = 0; i < masters_.size(); ++i)
+      for (const auto& pin : masters_[i][s.variant[i]].pins) {
+        const Rect r = s.xform[i].apply(pin.rect);
+        const auto n = static_cast<std::size_t>(pin.net);
+        netBox_[n] = netSeen_[n] ? netBox_[n].unionWith(r) : r;
+        netSeen_[n] = 1;
+      }
+    double total = 0.0;
+    for (std::size_t n = 0; n < netBox_.size(); ++n) {
+      if (!netSeen_[n]) continue;
+      const double w = weighted ? netWeight_[n] : 1.0;
+      total += w * static_cast<double>(netBox_[n].halfPerimeter());
+    }
+    return total;
+  }
+
+  /// Pairwise overlap area of the boxes grown by half the spacing.
+  double overlapArea() const {
+    double total = 0.0;
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+      const Rect a = boxes[i].inflated(opts_.spacing / 2);
+      for (std::size_t j = i + 1; j < boxes.size(); ++j)
+        total += static_cast<double>(a.intersect(boxes[j].inflated(opts_.spacing / 2)).area());
+    }
+    return total;
+  }
+
+  bool overlapFree() const {
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+      const Rect a = boxes[i].inflated(opts_.spacing / 2);
+      for (std::size_t j = i + 1; j < boxes.size(); ++j)
+        if (a.overlaps(boxes[j].inflated(opts_.spacing / 2))) return false;
+    }
+    return true;
+  }
+
+  double symmetryError(const PlacerState& s) const {
     // Axis: average pair midline; error: deviation from common axis +
     // vertical misalignment + orientation mismatch.
     double axisSum = 0.0;
     std::size_t pairs = 0;
-    for (std::size_t i = 0; i < peer.size(); ++i) {
-      if (peer[i] < 0 || static_cast<std::size_t>(peer[i]) < i) continue;
-      const auto ca = inst[i].boundingBox().center();
-      const auto cb = inst[static_cast<std::size_t>(peer[i])].boundingBox().center();
+    for (std::size_t i = 0; i < peer_.size(); ++i) {
+      if (peer_[i] < 0 || static_cast<std::size_t>(peer_[i]) < i) continue;
+      const auto ca = boxes[i].center();
+      const auto cb = boxes[static_cast<std::size_t>(peer_[i])].center();
       axisSum += 0.5 * static_cast<double>(ca.x + cb.x);
       ++pairs;
     }
     if (pairs == 0) return 0.0;
     const double axis = axisSum / static_cast<double>(pairs);
     double err = 0.0;
-    for (std::size_t i = 0; i < peer.size(); ++i) {
-      if (peer[i] < 0 || static_cast<std::size_t>(peer[i]) < i) continue;
-      const std::size_t j = static_cast<std::size_t>(peer[i]);
-      const auto ca = inst[i].boundingBox().center();
-      const auto cb = inst[j].boundingBox().center();
+    for (std::size_t i = 0; i < peer_.size(); ++i) {
+      if (peer_[i] < 0 || static_cast<std::size_t>(peer_[i]) < i) continue;
+      const std::size_t j = static_cast<std::size_t>(peer_[i]);
+      const auto ca = boxes[i].center();
+      const auto cb = boxes[j].center();
       err += std::abs(static_cast<double>(ca.x + cb.x) / 2.0 - axis);
       err += std::abs(static_cast<double>(ca.y - cb.y));
-      if (xform[j].orient != mirrored(xform[i].orient)) err += 50.0;
+      if (s.xform[j].orient != mirrored(s.xform[i].orient)) err += 50.0;
     }
     return err;
   }
 
-  double cost(double overlapScale) const {
-    const auto inst = instances();
-    Rect bb;
-    for (const auto& c : inst) bb = bb.unionWith(c.boundingBox());
-    const double area = static_cast<double>(bb.area());
-    const double wl = estimateWirelengthWeighted(inst, opts.netWeights);
-    const double ov = overlapArea(inst, opts.spacing);
-    const double sym = symmetryError(inst);
-    return opts.areaWeight * area + opts.wireWeight * wl * 10.0 +
-           opts.overlapWeight * overlapScale * ov + opts.symmetryWeight * sym * 20.0;
+  double cost(const PlacerState& s, double overlapScale) {
+    layOut(s);
+    const double area = static_cast<double>(boundingBox().area());
+    const double wl = wirelength(s, true);
+    const double ov = overlapArea();
+    const double sym = symmetryError(s);
+    return opts_.areaWeight * area + opts_.wireWeight * wl * 10.0 +
+           opts_.overlapWeight * overlapScale * ov + opts_.symmetryWeight * sym * 20.0;
   }
+
+  std::vector<CellInstance> instances(const PlacerState& s) const {
+    std::vector<CellInstance> out;
+    out.reserve(components_.size());
+    for (std::size_t i = 0; i < components_.size(); ++i)
+      out.push_back(CellInstance{components_[i].name,
+                                 &components_[i].variants[s.variant[i]], s.xform[i]});
+    return out;
+  }
+
+  std::vector<Rect> boxes;  ///< instance bounding boxes of the last layOut()
+
+ private:
+  struct Pin {
+    int net;
+    Rect rect;
+  };
+  struct Master {
+    Rect box;
+    std::vector<Pin> pins;
+  };
+  const std::vector<PlacementComponent>& components_;
+  const PlacerOptions& opts_;
+  std::vector<std::ptrdiff_t> peer_;      // index of symmetry partner or -1
+  std::vector<std::vector<Master>> masters_;  // [component][variant]
+  std::vector<double> netWeight_;         // by net id
+  std::vector<Rect> netBox_;              // wirelength scratch, by net id
+  std::vector<char> netSeen_;
 };
 
 Coord snap(Coord v, Coord grid) { return (v / grid) * grid; }
@@ -260,16 +357,9 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
     if (c.variants.empty())
       throw std::invalid_argument("placeCells: component " + c.name + " has no variants");
 
+  PlacerModel model(components, opts);
   PlacerState st;
-  st.components = &components;
-  st.opts = opts;
   st.variant.assign(components.size(), 0);
-  st.peer.assign(components.size(), -1);
-  for (std::size_t i = 0; i < components.size(); ++i) {
-    if (!components[i].symmetryPeer) continue;
-    for (std::size_t j = 0; j < components.size(); ++j)
-      if (components[j].name == *components[i].symmetryPeer) st.peer[i] = j;
-  }
 
   // Start from the deterministic row placement (legal, finite cost).
   const Placement seed = rowPlacement(components, opts);
@@ -284,7 +374,7 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
   std::size_t movesDone = 0;
 
   num::AnnealProblem prob;
-  prob.cost = [&] { return st.cost(overlapScale); };
+  prob.cost = [&] { return model.cost(st, overlapScale); };
   prob.propose = [&](num::Rng& rng) {
     prev.variant = st.variant;
     prev.xform = st.xform;
@@ -325,12 +415,8 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
         if (components.size() < 2) break;
         std::size_t j = rng.index(components.size());
         while (j == i) j = rng.index(components.size());
-        const CellInstance a{components[i].name, &components[i].variants[st.variant[i]],
-                             st.xform[i]};
-        const CellInstance b{components[j].name, &components[j].variants[st.variant[j]],
-                             st.xform[j]};
-        const Rect ra = a.boundingBox();
-        const Rect rb = b.boundingBox();
+        const Rect ra = model.box(i, st.variant[i], st.xform[i]);
+        const Rect rb = model.box(j, st.variant[j], st.xform[j]);
         Coord dx = 0, dy = 0;
         switch (rng.integer(0, 3)) {
           case 0:  // right of j
@@ -355,22 +441,17 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
         break;
       }
       case 5: {  // symmetry snap: mirror the peer into place
-        if (st.peer[i] >= 0) {
-          const std::size_t j = static_cast<std::size_t>(st.peer[i]);
-          CellInstance a{components[i].name, &components[i].variants[st.variant[i]],
-                         st.xform[i]};
-          const Rect abb = a.boundingBox();
+        if (model.peer(i) >= 0) {
+          const std::size_t j = static_cast<std::size_t>(model.peer(i));
+          const Rect abb = model.box(i, st.variant[i], st.xform[i]);
           // Mirror about the current overall bbox center.
-          Rect bb;
-          for (const auto& inst : st.instances()) bb = bb.unionWith(inst.boundingBox());
-          const Coord axis = bb.center().x;
+          model.layOut(st);
+          const Coord axis = model.boundingBox().center().x;
           const Rect target = geom::mirrorX(abb, axis);
           st.variant[j] = st.variant[i];
           st.xform[j].orient = mirrored(st.xform[i].orient);
           // Position the peer so its bbox lands on the mirrored rect.
-          CellInstance b{components[j].name, &components[j].variants[st.variant[j]],
-                         Transform{st.xform[j].orient, 0, 0}};
-          const Rect bbb = b.boundingBox();
+          const Rect bbb = model.box(j, st.variant[j], Transform{st.xform[j].orient, 0, 0});
           st.xform[j].dx = target.x0 - bbb.x0;
           st.xform[j].dy = target.y0 - bbb.y0;
         }
@@ -405,12 +486,12 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
 
   // Legalize the best solution if overlaps survived: push instances apart
   // along x in left-to-right order.
-  auto inst = best.instances();
-  std::vector<std::size_t> order(inst.size());
+  model.layOut(best);
+  auto& boxes = model.boxes;
+  std::vector<std::size_t> order(components.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return inst[a].boundingBox().x0 < inst[b].boundingBox().x0;
-  });
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return boxes[a].x0 < boxes[b].x0; });
   bool moved = true;
   std::size_t guard = 0;
   while (moved && guard++ < 64) {
@@ -418,27 +499,24 @@ Placement placeCells(const std::vector<PlacementComponent>& components,
     for (std::size_t oi = 0; oi < order.size(); ++oi) {
       for (std::size_t oj = oi + 1; oj < order.size(); ++oj) {
         const std::size_t i = order[oi], j = order[oj];
-        const Rect a = inst[i].boundingBox().inflated(opts.spacing / 2);
-        const Rect b = inst[j].boundingBox().inflated(opts.spacing / 2);
+        const Rect a = boxes[i].inflated(opts.spacing / 2);
+        const Rect b = boxes[j].inflated(opts.spacing / 2);
         if (!a.overlaps(b)) continue;
-        const Coord push = a.x1 - b.x0 + opts.gridStep;
-        best.xform[j].dx += push;
-        inst[j].placement.dx += push;
+        best.xform[j].dx += a.x1 - b.x0 + opts.gridStep;
+        boxes[j] = model.box(j, best.variant[j], best.xform[j]);
         moved = true;
       }
     }
   }
 
   Placement result;
-  result.instances = best.instances();
+  result.instances = model.instances(best);
   for (std::size_t i = 0; i < components.size(); ++i)
     result.variantChosen[components[i].name] = best.variant[i];
-  Rect bb;
-  for (const auto& c : result.instances) bb = bb.unionWith(c.boundingBox());
-  result.boundingBox = bb;
-  result.wirelength = estimateWirelength(result.instances);
-  result.overlapFree = !hasOverlaps(result.instances, opts.spacing);
-  result.symmetryError = best.symmetryError(result.instances);
+  result.boundingBox = model.boundingBox();
+  result.wirelength = model.wirelength(best, false);
+  result.overlapFree = model.overlapFree();
+  result.symmetryError = model.symmetryError(best);
   result.stats = stats;
 
   // Best-of guarantee: post-legalization inflation can leave the annealed

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "circuit/netlist.hpp"
+#include "core/celllayout.hpp"
 #include "layout/cell/modgen.hpp"
 #include "layout/cell/place.hpp"
 #include "layout/cell/route.hpp"
@@ -257,6 +258,28 @@ TEST(Stacking, ExactThrowsOnHugeGroup) {
   const auto s = lay::greedyStacking(graphs[0]);
   EXPECT_TRUE(lay::stackingValid(graphs[0], s));
   EXPECT_EQ(s.stacks.size(), 1u);
+}
+
+TEST(Stacking, ChainWithinGroupToleranceSplitsIntoStackableRuns) {
+  // Each width is within 5% of the group's first device (1.00 um), so
+  // buildDiffusionGraphs chains all three; but along the chain the ends
+  // (0.96 and 1.04 um) differ by 8%, more than one merged stack accepts.
+  // The chain splits into a 0.96/1.00 stack and a single 1.04 device.
+  ckt::Netlist n;
+  n.addMos("M1", "b", "g1", "c", "0", ckt::MosType::Nmos, 1.00e-6, 2e-6);
+  n.addMos("M2", "a", "g2", "b", "0", ckt::MosType::Nmos, 0.96e-6, 2e-6);
+  n.addMos("M3", "c", "g3", "d", "0", ckt::MosType::Nmos, 1.04e-6, 2e-6);
+  ASSERT_EQ(lay::buildDiffusionGraphs(n).size(), 1u);
+  amsyn::core::CellLayoutOptions opts;
+  opts.annealPlacement = false;
+  amsyn::core::CellLayoutResult r;
+  ASSERT_NO_THROW(r = amsyn::core::layoutCellGeometry(n, proc(), opts));
+  EXPECT_TRUE(r.success);
+  EXPECT_EQ(r.stackedDevices, 2u);
+  ASSERT_EQ(r.placement.instances.size(), 2u);
+  std::set<std::string> names;
+  for (const auto& inst : r.placement.instances) names.insert(inst.name);
+  EXPECT_TRUE(names.count("M3"));
 }
 
 // ------------------------------------------------------------- placement

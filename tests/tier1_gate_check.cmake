@@ -33,28 +33,58 @@ if(ntests EQUAL 0)
   message(FATAL_ERROR "tier1_gate_check: build registers no tests at all")
 endif()
 
+# Every string(JSON) call re-parses its whole input, so indexing the model
+# test by test is quadratic in the test count.  Instead take the tests array
+# out once and split it into one small JSON object per test.  CMake's JSON
+# writer puts each top-level array element at two-space indentation, and a
+# JSON string never holds a raw newline, so "\n  },\n  {" occurs only
+# between two tests.  List metacharacters (`;` and the brackets, which
+# would shield a `;` from list splitting) are swapped out for the split and
+# restored per test.  A split that does not yield exactly ntests objects
+# fails the check.
+string(JSON tests GET "${model}" tests)
+string(ASCII 1 semi)
+string(ASCII 2 lbracket)
+string(ASCII 3 rbracket)
+string(STRIP "${tests}" tests)
+string(LENGTH "${tests}" len)
+math(EXPR inner "${len} - 2")
+string(SUBSTRING "${tests}" 1 ${inner} tests)  # drop the array's own brackets
+string(REPLACE ";" "${semi}" tests "${tests}")
+string(REPLACE "[" "${lbracket}" tests "${tests}")
+string(REPLACE "]" "${rbracket}" tests "${tests}")
+string(REPLACE "\n  },\n  {" "\n  };\n  {" tests "${tests}")
+list(LENGTH tests nsplit)
+if(NOT nsplit EQUAL ntests)
+  message(FATAL_ERROR
+    "tier1_gate_check: split ctest's model into ${nsplit} tests, expected ${ntests}")
+endif()
+
 set(violations "")
-math(EXPR last "${ntests} - 1")
-foreach(i RANGE ${last})
-  string(JSON name GET "${model}" tests ${i} name)
+foreach(test IN LISTS tests)
+  string(REPLACE "${semi}" ";" test "${test}")
+  string(REPLACE "${lbracket}" "[" test "${test}")
+  string(REPLACE "${rbracket}" "]" test "${test}")
+  string(JSON name GET "${test}" name)
   set(has_timeout FALSE)
   set(has_tier1 FALSE)
-  string(JSON nprops ERROR_VARIABLE perr LENGTH "${model}" tests ${i} properties)
+  string(JSON nprops ERROR_VARIABLE perr LENGTH "${test}" properties)
   if(NOT perr AND nprops GREATER 0)
     math(EXPR plast "${nprops} - 1")
     foreach(p RANGE ${plast})
-      string(JSON pname GET "${model}" tests ${i} properties ${p} name)
+      string(JSON prop GET "${test}" properties ${p})
+      string(JSON pname GET "${prop}" name)
       if(pname STREQUAL "TIMEOUT")
-        string(JSON pvalue GET "${model}" tests ${i} properties ${p} value)
+        string(JSON pvalue GET "${prop}" value)
         if(pvalue MATCHES "^[0-9]+(\\.[0-9]+)?$" AND pvalue GREATER 0)
           set(has_timeout TRUE)
         endif()
       elseif(pname STREQUAL "LABELS")
-        string(JSON nlabels LENGTH "${model}" tests ${i} properties ${p} value)
+        string(JSON nlabels LENGTH "${prop}" value)
         if(nlabels GREATER 0)
           math(EXPR llast "${nlabels} - 1")
           foreach(l RANGE ${llast})
-            string(JSON label GET "${model}" tests ${i} properties ${p} value ${l})
+            string(JSON label GET "${prop}" value ${l})
             if(label STREQUAL "tier1")
               set(has_tier1 TRUE)
             endif()
