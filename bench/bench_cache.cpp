@@ -115,7 +115,7 @@ GeneticRun geneticSearch(bool cacheOn) {
   auto& c = core::cache::EvalCache::instance();
   c.clear();
   c.setEnabled(cacheOn);
-  const auto lib = topology::amplifierLibrary(nominalProc(), 5e-12);
+  const auto& lib = topology::amplifierLibrary(nominalProc(), 5e-12);
   sizing::SpecSet specs;
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 2e6).atLeast("pm", 50.0).minimize("power",
                                                                                   0.3, 1e-3);

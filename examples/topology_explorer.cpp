@@ -15,7 +15,7 @@
 int main() {
   using namespace amsyn;
   const auto& proc = circuit::defaultProcess();
-  const auto lib = topology::amplifierLibrary(proc, 5e-12);
+  const auto& lib = topology::amplifierLibrary(proc, 5e-12);
 
   core::Table t({"gain spec (dB)", "rule-based pick", "interval verdicts",
                  "genetic winner", "genetic feasible"});

@@ -123,6 +123,7 @@ RunReport buildFlowReport(const FlowResult& result) {
     const auto& v = result.verifications[i];
     const std::string prefix = "verify." + std::to_string(i) + ".";
     report.addInfo(prefix + "stage", v.stage);
+    report.addValue(prefix + "attempt", static_cast<double>(v.attempt));
     report.addValue(prefix + "passed", v.passed ? 1.0 : 0.0);
     for (const auto& p : electricalPerformanceTable())
       if (auto it = v.measured.find(p.name); it != v.measured.end())

@@ -324,14 +324,11 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
 // Concrete stages
 
 StageOutcome TopologySelectStage::run(DesignContext& ctx) {
-  if (!library_ || libraryProc_ != &ctx.proc || libraryLoadCap_ != ctx.opts.loadCap ||
-      librarySpace_ != ctx.opts.topologySpace) {
-    library_ = std::make_unique<topology::TopologyLibrary>(
-        topology::amplifierLibrary(ctx.proc, ctx.opts.loadCap, ctx.opts.topologySpace));
-    libraryProc_ = &ctx.proc;
-    libraryLoadCap_ = ctx.opts.loadCap;
-    librarySpace_ = ctx.opts.topologySpace;
-  }
+  // The process-lifetime memo, asked on every run: it keys on the process
+  // content and the context-resolved space, so neither a mutated Process
+  // nor a change of context can serve a stale library.
+  const auto& library =
+      topology::amplifierLibrary(ctx.proc, ctx.opts.loadCap, ctx.opts.topologySpace);
 
   sizing::SynthesisOptions sopts = ctx.opts.synthesis;
   sopts.seed = ctx.opts.seed + ctx.attempt;
@@ -344,7 +341,7 @@ StageOutcome TopologySelectStage::run(DesignContext& ctx) {
     sopts.refineEvaluations = std::max<std::size_t>(sopts.refineEvaluations, 800);
   }
 
-  const auto sel = topology::selectAndSize(*library_, ctx.target, sopts);
+  const auto sel = topology::selectAndSize(library, ctx.target, sopts);
   if (!sel.success)
     return StageOutcome::skip("optimization-based sizing produced no candidate");
   CandidateDesign cand;

@@ -31,7 +31,6 @@
 #include "core/context.hpp"
 #include "core/flow.hpp"
 #include "core/metrics.hpp"
-#include "topology/library.hpp"
 
 namespace amsyn::core {
 
@@ -227,17 +226,12 @@ class FlowEngine {
 /// Optimizer candidate provider: interval-filter + rule-order the built-in
 /// amplifier library, then optimization-based sizing against the retargeted
 /// specs (topology::selectAndSize).  Appends at most one candidate; skips
-/// when sizing fails (the plan provider may still deliver).
+/// when sizing fails (the plan provider may still deliver).  Stateless: the
+/// library comes from the topology::amplifierLibrary memo on every run.
 class TopologySelectStage : public FlowStage {
  public:
   std::string name() const override { return "topology-select"; }
   StageOutcome run(DesignContext& ctx) override;
-
- private:
-  std::unique_ptr<topology::TopologyLibrary> library_;  ///< cached per run
-  const circuit::Process* libraryProc_ = nullptr;
-  double libraryLoadCap_ = 0.0;
-  topology::TopologySpace librarySpace_ = topology::TopologySpace::Default;
 };
 
 /// Knowledge-based candidate provider: maps the retargeted bounds onto the

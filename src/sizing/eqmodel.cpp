@@ -159,42 +159,6 @@ OtaParams OtaEquationModel::toParams(const std::vector<double>& x) const {
   return p;
 }
 
-namespace {
-
-template <typename Model>
-class OwningProcessModel : public PerformanceModel {
- public:
-  OwningProcessModel(const circuit::Process& proc, double loadCap)
-      : proc_(proc), inner_(proc_, loadCap) {}  // proc_ initialized first
-
-  const std::vector<DesignVariable>& variables() const override {
-    return inner_.variables();
-  }
-  Performance evaluate(const std::vector<double>& x) const override {
-    return inner_.evaluate(x);
-  }
-  EvalCost evalCost() const override { return inner_.evalCost(); }
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    return inner_.surrogateSignature();
-  }
-
- private:
-  circuit::Process proc_;
-  Model inner_;
-};
-
-}  // namespace
-
-std::unique_ptr<PerformanceModel> makeTwoStageModel(const circuit::Process& proc,
-                                                    double loadCap) {
-  return std::make_unique<OwningProcessModel<TwoStageEquationModel>>(proc, loadCap);
-}
-
-std::unique_ptr<PerformanceModel> makeOtaModel(const circuit::Process& proc,
-                                               double loadCap) {
-  return std::make_unique<OwningProcessModel<OtaEquationModel>>(proc, loadCap);
-}
-
 Performance evaluateTwoStageGeometry(const TwoStageParams& p, const circuit::Process& proc,
                                      double loadCap) {
   // Bias currents from the mirror ratios off the (ideal) reference.
@@ -274,11 +238,10 @@ class TwoStageCornerModel : public PerformanceModel {
  public:
   TwoStageCornerModel(const circuit::Process& corner, const circuit::Process& nominal,
                       double loadCap)
-      : corner_(corner), nominal_(nominal), nominalModel_(nominal_, loadCap),
-        loadCap_(loadCap) {
+      : corner_(corner), nominalModel_(nominal, loadCap), loadCap_(loadCap) {
     keyPrefix_.mixString("eq-two-stage-corner");
     circuit::hashProcess(keyPrefix_, corner_);
-    circuit::hashProcess(keyPrefix_, nominal_);
+    circuit::hashProcess(keyPrefix_, nominal);
     keyPrefix_.mixDouble(loadCap_);
     // Surrogate class excludes the corner: every vertex and coordinate-
     // search probe of one hunt trains a single model, with the corner's
@@ -286,7 +249,7 @@ class TwoStageCornerModel : public PerformanceModel {
     // class would see one observation per round and never calibrate.
     core::cache::Hasher128 sh;
     sh.mixString("surr-eq-two-stage-corner");
-    circuit::hashProcess(sh, nominal_);
+    circuit::hashProcess(sh, nominal);
     sh.mixDouble(loadCap_);
     surrogateSig_ = {sh.digest(), processSurrogateContext(corner_)};
   }
@@ -322,8 +285,7 @@ class TwoStageCornerModel : public PerformanceModel {
 
  private:
   circuit::Process corner_;
-  circuit::Process nominal_;
-  TwoStageEquationModel nominalModel_;
+  TwoStageEquationModel nominalModel_;  ///< owns the nominal process
   double loadCap_;
   core::cache::Hasher128 keyPrefix_;  ///< tag+corner+nominal+loadCap
   SurrogateSignature surrogateSig_;   ///< tag+nominal+loadCap; corner as context

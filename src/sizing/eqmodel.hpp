@@ -4,6 +4,10 @@
 // compensation capacitor; device widths follow from W/L = 2 I / (kp Vov^2),
 // so every equation-model design point maps onto the simulatable and
 // layoutable TwoStageParams / OtaParams templates.
+//
+// Each model owns a copy of its process, so a model may outlive the Process
+// it was built from: memoized topology libraries (topology/library.hpp) and
+// corner/yield factories hand models around freely.
 #pragma once
 
 #include <memory>
@@ -43,7 +47,7 @@ class TwoStageEquationModel : public PerformanceModel {
   double loadCap() const { return loadCap_; }
 
  private:
-  const circuit::Process& proc_;
+  circuit::Process proc_;
   double loadCap_;
   std::vector<DesignVariable> vars_;
   core::cache::Hasher128 keyPrefix_;  ///< tag+process+loadCap, mixed once
@@ -69,19 +73,12 @@ class OtaEquationModel : public PerformanceModel {
   OtaParams toParams(const std::vector<double>& x) const;
 
  private:
-  const circuit::Process& proc_;
+  circuit::Process proc_;
   double loadCap_;
   std::vector<DesignVariable> vars_;
   core::cache::Hasher128 keyPrefix_;  ///< tag+process+loadCap, mixed once
   SurrogateSignature surrogateSig_;   ///< tag+loadCap class; process as context
 };
-
-/// Equation model that owns a copy of its process — corner and yield
-/// analyses instantiate models at perturbed processes whose lifetime would
-/// otherwise be the caller's problem.
-std::unique_ptr<PerformanceModel> makeTwoStageModel(const circuit::Process& proc,
-                                                    double loadCap);
-std::unique_ptr<PerformanceModel> makeOtaModel(const circuit::Process& proc, double loadCap);
 
 /// Evaluate a *fixed geometry* (widths, Cc, Ibias) under an arbitrary
 /// process instance.  This is the physically correct object for corner and

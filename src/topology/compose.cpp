@@ -1,7 +1,6 @@
 #include "topology/compose.hpp"
 
 #include <cmath>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -314,7 +313,10 @@ void registerGeneratedBuilders() {
   });
 }
 
+}  // namespace
+
 TopologyLibrary buildGeneratedLibrary(const Process& proc, double loadCap) {
+  registerGeneratedBuilders();
   TopologyLibrary lib;
   for (const OpampStructure& s : enumerateOpampStructures()) {
     TopologyEntry e;
@@ -331,32 +333,6 @@ TopologyLibrary buildGeneratedLibrary(const Process& proc, double loadCap) {
     lib.add(std::move(e));
   }
   return lib;
-}
-
-}  // namespace
-
-TopologyLibrary generatedAmplifierLibrary(const Process& proc, double loadCap) {
-  registerGeneratedBuilders();
-  // Memoize per (process, loadCap): bounds sampling over the full space is
-  // ~10^5 model evaluations, too much to repeat on every flow start.
-  // Keyed by content digest, not address, so corner/perturbed processes get
-  // their own libraries; models own a Process copy, so a cached library
-  // outliving the caller's process instance is safe.
-  core::cache::Hasher128 h;
-  circuit::hashProcess(h, proc);
-  h.mixDouble(loadCap);
-  const auto key = h.digest();
-
-  static std::mutex mu;
-  static std::map<core::cache::Digest128, TopologyLibrary> memo;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = memo.find(key);
-    if (it != memo.end()) return it->second;
-  }
-  TopologyLibrary lib = buildGeneratedLibrary(proc, loadCap);
-  std::lock_guard<std::mutex> lock(mu);
-  return memo.emplace(key, std::move(lib)).first->second;
 }
 
 std::optional<std::vector<double>> composedPlanSeed(const OpampStructure& s,

@@ -51,18 +51,19 @@ class ComposedOpampModel : public sizing::PerformanceModel {
 
  private:
   OpampStructure s_;
-  circuit::Process proc_;  ///< owned: generated libraries may be memoized
+  circuit::Process proc_;  ///< owned: memoized libraries outlive the caller's
   double loadCap_;
   std::vector<sizing::DesignVariable> vars_;
   core::cache::Hasher128 keyPrefix_;  ///< tag+name+process+loadCap, mixed once
 };
 
-/// The generated amplifier library over the full composed space: one entry
-/// per valid structure, in enumeration order, with model, bounds, rules and
-/// complexity filled and every non-legacy builder registered in the
-/// process-wide NetlistBuilderRegistry (once).  Memoized per
-/// (process, loadCap): repeated flow starts reuse the sampled bounds.
-TopologyLibrary generatedAmplifierLibrary(const circuit::Process& proc, double loadCap);
+/// Build the generated amplifier library over the full composed space: one
+/// entry per valid structure, in enumeration order, with model, bounds,
+/// rules and complexity filled and every non-legacy builder registered in
+/// the process-wide NetlistBuilderRegistry (once).  Not memoized: reach it
+/// through topology::amplifierLibrary (or buildAmplifierLibrary) with
+/// TopologySpace::Generated.
+TopologyLibrary buildGeneratedLibrary(const circuit::Process& proc, double loadCap);
 
 /// Map the opamp design plans (knowledge/opamp_plans.hpp) onto a composed
 /// structure's variable vector: plan outputs fill the shared electrical

@@ -1,9 +1,13 @@
 #include "topology/library.hpp"
 
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 
+#include "circuit/canonical.hpp"
 #include "core/context.hpp"
+#include "core/evalcache.hpp"
+#include "core/trace.hpp"
 #include "sizing/eqmodel.hpp"
 #include "topology/compose.hpp"
 
@@ -156,10 +160,10 @@ TopologySpace defaultTopologySpace() {
   return TopologySpace::Legacy;
 }
 
-TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
-                                 TopologySpace space) {
+TopologyLibrary buildAmplifierLibrary(const circuit::Process& proc, double loadCap,
+                                      TopologySpace space) {
   if (space == TopologySpace::Default) space = defaultTopologySpace();
-  if (space == TopologySpace::Generated) return generatedAmplifierLibrary(proc, loadCap);
+  if (space == TopologySpace::Generated) return buildGeneratedLibrary(proc, loadCap);
 
   TopologyLibrary lib;
 
@@ -184,6 +188,38 @@ TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
   }
 
   return lib;
+}
+
+const TopologyLibrary& amplifierLibrary(const circuit::Process& proc, double loadCap,
+                                        TopologySpace space) {
+  if (space == TopologySpace::Default) space = defaultTopologySpace();
+  core::cache::Hasher128 h;
+  h.mix(static_cast<std::uint64_t>(space));
+  circuit::hashProcess(h, proc);
+  h.mixDouble(loadCap);
+  const auto key = h.digest();
+
+  // One slot per key, built at most once: concurrent first requests for the
+  // same key wait on its once_flag, requests for other keys do not.  Map
+  // nodes never move and are never erased, so returned references stay
+  // valid; like the metrics registry, the map is leaked rather than torn
+  // down at exit under a late caller.
+  struct Slot {
+    std::once_flag built;
+    TopologyLibrary lib;
+  };
+  static std::mutex mu;
+  static auto* memo = new std::map<core::cache::Digest128, Slot>();
+  Slot* slot = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    slot = &(*memo)[key];
+  }
+  std::call_once(slot->built, [&] {
+    AMSYN_SPAN("topology.library_build");
+    slot->lib = buildAmplifierLibrary(proc, loadCap, space);
+  });
+  return slot->lib;
 }
 
 }  // namespace amsyn::topology

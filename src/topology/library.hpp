@@ -69,14 +69,26 @@ enum class TopologySpace : std::uint8_t {
 /// composed space, anything else (or unset) the legacy pair.
 TopologySpace defaultTopologySpace();
 
-/// The amplifier candidate library.  Legacy: five-transistor OTA and
+/// The amplifier candidate library, built once per process lifetime.
+/// Memoized by content: the key is (space, circuit::hashProcess(proc),
+/// loadCap), with `Default` resolved through the current execution context
+/// first — so an equal-content Process at another address shares an entry,
+/// a perturbed one gets its own, and nothing dangles when the caller's
+/// Process dies (every model owns a copy).  A hit costs one process hash;
+/// a miss builds under the "topology.library_build" trace span.  Entries
+/// are never evicted, so the reference stays valid for the process.
+const TopologyLibrary& amplifierLibrary(const circuit::Process& proc, double loadCap,
+                                        TopologySpace space = TopologySpace::Default);
+
+/// Build the library without the memo.  Legacy: five-transistor OTA and
 /// two-stage Miller opamp with interval bounds derived from their equation
 /// models over the full design-variable box.  Generated: the functional-
 /// block composition space (dozens of electrically valid op-amp structures,
 /// including both legacy cells reproduced bit-identically as composition
-/// instances — see topology/compose.hpp).
-TopologyLibrary amplifierLibrary(const circuit::Process& proc, double loadCap,
-                                 TopologySpace space = TopologySpace::Default);
+/// instances — see topology/compose.hpp).  Bit-identical to what
+/// amplifierLibrary returns for the same arguments.
+TopologyLibrary buildAmplifierLibrary(const circuit::Process& proc, double loadCap,
+                                      TopologySpace space = TopologySpace::Default);
 
 /// Heuristic rule sets of the hand-written cells, shared with the generated
 /// space (which reproduces those cells as composition instances and must

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/canonical.hpp"
@@ -49,9 +50,7 @@ constexpr double kLoadCap = 5e-12;
 const ckt::Process& proc() { return ckt::defaultProcess(); }
 
 const tp::TopologyLibrary& genLib() {
-  static const tp::TopologyLibrary l =
-      tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Generated);
-  return l;
+  return tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Generated);
 }
 
 /// Bitwise double equality (the differential tests' currency).
@@ -210,22 +209,102 @@ TEST(GeneratedLibrary, ByNameWorksAndMissListsTheSpace) {
   }
 }
 
-TEST(GeneratedLibrary, RebuildIsBitIdentical) {
-  // Deterministic construction: a second library (same process, same load)
-  // has the same entry order, bounds, and complexities, bit for bit.
-  const auto& a = genLib();
-  const auto b = tp::generatedAmplifierLibrary(proc(), kLoadCap);
+namespace {
+
+/// Two libraries agree bit for bit: entry order, names, complexities, rule
+/// counts, and every bound's lo/hi bits.
+void expectLibrariesBitIdentical(const tp::TopologyLibrary& a, const tp::TopologyLibrary& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     const auto& ea = a.entries()[i];
     const auto& eb = b.entries()[i];
-    EXPECT_EQ(ea.name, eb.name);
-    EXPECT_EQ(ea.complexity, eb.complexity);
+    EXPECT_EQ(ea.name, eb.name) << i;
+    EXPECT_EQ(ea.complexity, eb.complexity) << ea.name;
+    EXPECT_EQ(ea.rules.size(), eb.rules.size()) << ea.name;
     ASSERT_EQ(ea.bounds.size(), eb.bounds.size()) << ea.name;
     for (const auto& [k, v] : ea.bounds) {
       ASSERT_TRUE(eb.bounds.count(k)) << ea.name << " " << k;
       EXPECT_TRUE(bitEq(v.lo(), eb.bounds.at(k).lo())) << ea.name << " " << k;
       EXPECT_TRUE(bitEq(v.hi(), eb.bounds.at(k).hi())) << ea.name << " " << k;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(GeneratedLibrary, RebuildIsBitIdentical) {
+  // The memoized library of either space equals an unmemoized build from
+  // scratch (same process, same load), bit for bit.
+  for (const auto space : {tp::TopologySpace::Legacy, tp::TopologySpace::Generated}) {
+    SCOPED_TRACE(space == tp::TopologySpace::Legacy ? "legacy" : "generated");
+    const auto& memo = tp::amplifierLibrary(proc(), kLoadCap, space);
+    const auto fresh = tp::buildAmplifierLibrary(proc(), kLoadCap, space);
+    expectLibrariesBitIdentical(memo, fresh);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The library memo: keyed by process content, never by address
+
+TEST(LibraryMemo, EqualContentProcessAtAnotherAddressSharesTheEntry) {
+  const ckt::Process copy = proc();
+  for (const auto space : {tp::TopologySpace::Legacy, tp::TopologySpace::Generated})
+    EXPECT_EQ(&tp::amplifierLibrary(copy, kLoadCap, space),
+              &tp::amplifierLibrary(proc(), kLoadCap, space));
+}
+
+TEST(LibraryMemo, PerturbedProcessGetsItsOwnEntryWithDifferentBounds) {
+  ckt::Process fast = proc();
+  fast.kpN *= 1.25;
+  const auto& base = tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Legacy);
+  const auto& perturbed = tp::amplifierLibrary(fast, kLoadCap, tp::TopologySpace::Legacy);
+  ASSERT_NE(&base, &perturbed);
+  // Device widths follow kpN, so the two-stage area hull must move.
+  const auto& a = base.byName("two-stage-miller").bounds.at("area");
+  const auto& b = perturbed.byName("two-stage-miller").bounds.at("area");
+  EXPECT_FALSE(bitEq(a.lo(), b.lo()) && bitEq(a.hi(), b.hi()));
+  // And the perturbed entry is itself what a fresh build at `fast` gives.
+  expectLibrariesBitIdentical(perturbed,
+                              tp::buildAmplifierLibrary(fast, kLoadCap, tp::TopologySpace::Legacy));
+}
+
+TEST(LibraryMemo, ConcurrentFirstRequestsShareOneEntry) {
+  ckt::Process warm = proc();
+  warm.temperature = 320.0;  // a key no other test builds
+  std::vector<const tp::TopologyLibrary*> got(8, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < got.size(); ++t)
+    threads.emplace_back([&, t] {
+      got[t] = &tp::amplifierLibrary(warm, kLoadCap, tp::TopologySpace::Legacy);
+    });
+  for (auto& th : threads) th.join();
+  for (const auto* lib : got) EXPECT_EQ(lib, got.front());
+  expectLibrariesBitIdentical(*got.front(),
+                              tp::buildAmplifierLibrary(warm, kLoadCap, tp::TopologySpace::Legacy));
+}
+
+TEST(LibraryMemo, LegacyLibraryOutlivesTheProcessItWasBuiltFrom) {
+  // A memo entry built from a heap Process must keep evaluating identically
+  // once that Process is gone: the models own a copy (the sanitizer leg
+  // reports a use-after-free if they ever hold a reference again).
+  auto* heapProc = new ckt::Process(proc());
+  heapProc->vdd = 4.5;  // a key no other test builds
+  const ckt::Process stackCopy = *heapProc;
+  const auto& lib = tp::amplifierLibrary(*heapProc, kLoadCap, tp::TopologySpace::Legacy);
+  delete heapProc;
+
+  const auto reference = tp::buildAmplifierLibrary(stackCopy, kLoadCap, tp::TopologySpace::Legacy);
+  expectLibrariesBitIdentical(lib, reference);
+  for (const auto& entry : lib.entries()) {
+    const auto& ref = *reference.byName(entry.name).model;
+    for (const auto& x : samplePoints(ref, 20, 107)) {
+      const auto got = entry.model->evaluate(x);
+      const auto want = ref.evaluate(x);
+      ASSERT_EQ(got.size(), want.size()) << entry.name;
+      for (const auto& [k, v] : want) {
+        ASSERT_TRUE(got.count(k)) << entry.name << " " << k;
+        EXPECT_TRUE(bitEq(v, got.at(k))) << entry.name << " " << k;
+      }
     }
   }
 }
@@ -285,7 +364,7 @@ TEST(LegacyReproduction, TwoStageModelMatchesBitForBit) {
 
 TEST(LegacyReproduction, BoundsMatchTheLegacyLibraryBitForBit) {
   // Same models, same grids => same sampled hulls, same widened bounds.
-  const auto legacy = tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Legacy);
+  const auto& legacy = tp::amplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Legacy);
   for (const char* name : {"five-transistor-ota", "two-stage-miller"}) {
     const auto& bl = legacy.byName(name).bounds;
     const auto& bg = genLib().byName(name).bounds;
@@ -413,7 +492,8 @@ TEST(GeneratedSelection, BoundaryAndRuleSelectionAreDeterministic) {
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 2e6).atLeast("pm", 55.0).minimize("power",
                                                                                   0.5, 1e-3);
   const auto i1 = tp::intervalSelect(genLib(), specs);
-  const auto i2 = tp::intervalSelect(tp::generatedAmplifierLibrary(proc(), kLoadCap), specs);
+  const auto i2 = tp::intervalSelect(
+      tp::buildAmplifierLibrary(proc(), kLoadCap, tp::TopologySpace::Generated), specs);
   ASSERT_EQ(i1.size(), i2.size());
   for (std::size_t k = 0; k < i1.size(); ++k) {
     EXPECT_EQ(i1[k].name, i2[k].name) << k;

@@ -622,6 +622,74 @@ TEST(ContextDifferential, CornerSearchIsBitIdenticalBetweenAmbientAndExplicitCon
 }
 
 // ---------------------------------------------------------------------------
+// A reused engine follows its context and its process, never a stale library
+
+namespace {
+
+core::ContextConfig configWithSpace(core::TopologySpaceKind space) {
+  core::ContextConfig cfg = deterministicConfig();
+  cfg.topologySpace = space;
+  return cfg;
+}
+
+/// Flow options with the topology space left at Default, so the running
+/// context decides which library the topology-select stage ranks.
+core::FlowOptions reuseFlowOptions() {
+  core::FlowOptions opts;
+  opts.loadCap = 5e-12;
+  opts.seed = 3;
+  opts.maxRedesigns = 1;
+  opts.synthesis = fastSynthesisOptions();
+  opts.layout.annealPlacement = false;
+  return opts;
+}
+
+}  // namespace
+
+TEST(ContextDifferential, ReusedEngineFollowsTheContextsTopologySpace) {
+  CacheGuard guard;
+  // At 100 dB the generated space ranks a cascoded structure first, while
+  // the legacy space can only offer its two cells.
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 100.0).atLeast("ugf", 1e6).atLeast("pm", 50.0).minimize(
+      "power", 0.5, 1e-3);
+  const auto opts = reuseFlowOptions();
+  core::ExecutionContext legacyCtx(configWithSpace(core::TopologySpaceKind::Legacy));
+  core::ExecutionContext generatedCtx(configWithSpace(core::TopologySpaceKind::Generated));
+
+  core::FlowEngine reused(core::amplifierStageGraph());
+  const auto legacy = reused.run(specs, nominal(), opts, legacyCtx);
+  const auto generated = reused.run(specs, nominal(), opts, generatedCtx);
+
+  core::FlowEngine fresh(core::amplifierStageGraph());
+  const auto reference = fresh.run(specs, nominal(), opts, generatedCtx);
+  ASSERT_NE(legacy.topology, reference.topology) << "the spec must separate the spaces";
+  expectFlowsBitIdentical(reference, generated, "reused engine, generated context");
+}
+
+TEST(ContextDifferential, ReusedEngineFollowsAProcessMutatedInPlace) {
+  CacheGuard guard;
+  // A 5.2 V swing is outside the OTA's bounds at Vdd = 5 V and inside them
+  // at 6 V, where its rules rank it first; stale bounds keep the two-stage.
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 40.0).atLeast("ugf", 1e6).atLeast("swing", 5.2).minimize(
+      "power", 0.5, 1e-3);
+  const auto opts = reuseFlowOptions();
+  core::ExecutionContext ctx(configWithSpace(core::TopologySpaceKind::Legacy));
+
+  ckt::Process proc = nominal();
+  core::FlowEngine reused(core::amplifierStageGraph());
+  const auto before = reused.run(specs, proc, opts, ctx);
+  proc.vdd = 6.0;
+  const auto after = reused.run(specs, proc, opts, ctx);
+
+  core::FlowEngine fresh(core::amplifierStageGraph());
+  const auto reference = fresh.run(specs, proc, opts, ctx);
+  ASSERT_NE(before.topology, reference.topology) << "the mutation must change the pick";
+  expectFlowsBitIdentical(reference, after, "reused engine, mutated process");
+}
+
+// ---------------------------------------------------------------------------
 // Registry capacity overflow (satellite: fail loudly, name the offender)
 // LAST IN THIS FILE — these fill the registry for their process.
 

@@ -318,6 +318,7 @@ TEST(RunReport, FlowReportCarriesOutcomeAndVerifications) {
   pre.stage = "pre-layout";
   pre.passed = true;
   pre.measured["gain_db"] = 62.0;
+  pre.attempt = 1;
   result.verifications.push_back(pre);
   const std::string json = core::flowRunReportJson(result);
   EXPECT_NE(json.find("\"report\": \"flow\""), std::string::npos);
@@ -325,6 +326,7 @@ TEST(RunReport, FlowReportCarriesOutcomeAndVerifications) {
   EXPECT_NE(json.find("\"success\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"verify.0.stage\": \"pre-layout\""), std::string::npos);
   EXPECT_NE(json.find("\"verify.0.gain_db\": 62"), std::string::npos);
+  EXPECT_NE(json.find("\"verify.0.attempt\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"failure_status\": \"ok\""), std::string::npos);
 }
 
@@ -354,7 +356,7 @@ C1 out 0 1n
 }
 
 TEST(Instrumentation, SynthesisCountersAreThreadCountInvariant) {
-  const tp::TopologyLibrary lib = tp::amplifierLibrary(nominal(), 5e-12);
+  const tp::TopologyLibrary& lib = tp::amplifierLibrary(nominal(), 5e-12);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 3e6).minimize("power", 0.5, 1e-3);
   const auto opts = fastSynthesisOptions();
@@ -380,6 +382,21 @@ TEST(Instrumentation, SynthesisCountersAreThreadCountInvariant) {
     // how it was scheduled, so counter deltas match exactly.
     EXPECT_EQ(serial.at(n), parallel.at(n)) << n;
   }
+}
+
+TEST(Instrumentation, LibraryBuildSpanMarksOnlyMemoMisses) {
+  ckt::Process p = nominal();
+  p.temperature = 330.0;  // a library key no other test builds
+  trace::reset();
+  const auto& built = tp::amplifierLibrary(p, 5e-12, tp::TopologySpace::Legacy);
+  const auto& hit = tp::amplifierLibrary(p, 5e-12, tp::TopologySpace::Legacy);
+  EXPECT_EQ(&built, &hit);
+#if AMSYN_TRACE_ENABLED
+  const auto spans = trace::collect();
+  ASSERT_TRUE(spans.count("topology.library_build"));
+  EXPECT_EQ(spans.at("topology.library_build").count, 1u);
+  EXPECT_GT(spans.at("topology.library_build").totalNs, 0u);
+#endif
 }
 
 TEST(Instrumentation, CornerSearchReportsPhaseTimesAndVertexEvals) {

@@ -200,7 +200,7 @@ TEST(Determinism, CornerSearchIdenticalAtOneAndEightThreads) {
 }
 
 TEST(Determinism, GeneticSelectionIdenticalAtOneAndEightThreads) {
-  const tp::TopologyLibrary lib = tp::amplifierLibrary(nominal(), 5e-12);
+  const tp::TopologyLibrary& lib = tp::amplifierLibrary(nominal(), 5e-12);
   sz::SpecSet specs;
   specs.atLeast("gain_db", 60.0).atLeast("ugf", 3e6).minimize("power", 0.5, 1e-3);
   tp::GeneticOptions opts;

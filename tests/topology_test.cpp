@@ -16,9 +16,7 @@ const ckt::Process& proc() { return ckt::defaultProcess(); }
 // (entry count, winners, bounds).  The generated composition space has its
 // own suite in composed_topology_test.cpp.
 const tp::TopologyLibrary& lib() {
-  static const tp::TopologyLibrary l =
-      tp::amplifierLibrary(proc(), 5e-12, tp::TopologySpace::Legacy);
-  return l;
+  return tp::amplifierLibrary(proc(), 5e-12, tp::TopologySpace::Legacy);
 }
 
 sz::SpecSet highGainSpecs() {
