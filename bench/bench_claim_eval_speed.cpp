@@ -27,7 +27,6 @@
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/mna.hpp"
-#include "sim/mnasparse.hpp"
 #include "sim/solver.hpp"
 #include "sizing/eqmodel.hpp"
 #include "sizing/relaxed.hpp"
@@ -209,12 +208,11 @@ void writeSparseClaim(core::RunReport& report) {
 
     // Factor fill of the DC Jacobian pattern under the dense-compatible
     // (natural) ordering: nnz(L+U+D) / n^2.
-    sim::SparseMna sp(mna);
+    num::CscMatrix<double> jac = mna.pattern();
     num::VecD x0(mna.size(), proc.vdd / 2);
-    sp.assemble(x0, {}, true, nullptr);
+    mna.assemble(x0, {}, &jac.val, nullptr);
     num::SparseLuD lu;
-    const double fill =
-        lu.factor(sp.csc()) == num::SparseLuStatus::Ok ? lu.fillRatio() : 1.0;
+    const double fill = lu.factor(jac) == num::SparseLuStatus::Ok ? lu.fillRatio() : 1.0;
 
     const double speedup = sDense / std::max(sSparse, 1e-12);
     logSum += std::log(speedup);

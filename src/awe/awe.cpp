@@ -60,10 +60,9 @@ AweModel aweTransfer(const sim::Mna& mna, const sim::DcResult& op,
   if (!node || *node == circuit::kGround)
     throw std::invalid_argument("aweTransfer: bad output node " + outputNode);
 
-  num::MatrixD g, c;
-  num::VecD b;
-  mna.acMatrices(op.x, g, c, b);
-  return aweLinearSystem(g, c, b, mna.nodeIndex(*node), order);
+  const sim::AcSystem ac = mna.linearize(op.x);
+  return aweLinearSystem(mna.toDense(ac.g), mna.toDense(ac.c), ac.b, mna.nodeIndex(*node),
+                         order);
 }
 
 }  // namespace amsyn::awe

@@ -1,11 +1,9 @@
 // Small-signal AC analysis: solve (G + j w C) x = b over a frequency sweep,
-// where (G, C, b) are the linearization produced by Mna::acMatrices at a DC
+// where (G, C, b) are the linearization produced by Mna::linearize at a DC
 // operating point.
 #pragma once
 
 #include <complex>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,13 +42,10 @@ std::vector<double> logspace(double fStart, double fStop, std::size_t pointsPerD
 /// noise analysis, and duplicate sweep points all share one factorization.
 /// Traffic is recorded in sim/stats.hpp.
 ///
-/// When the solver knob picks the sparse path (sim/solver.hpp), (G, C) live
-/// as value vectors over the netlist's fixed sparsity pattern and each
-/// frequency point is a numeric refactor against one shared symbolic
-/// analysis — the batched-solve shape: an n-point sweep is one analysis
-/// plus n refactor+solve passes.  Results are bit-identical to the dense
-/// kernel; a tripped fill/growth guard scatters (G, C) into dense matrices
-/// and the sweep continues on the dense path.
+/// (G, C) live as value vectors over the netlist's fixed sparsity pattern,
+/// and each frequency point refreshes A's values over that pattern and
+/// factors them with the kernel sim/solver.hpp picks.  On the sparse kernel
+/// an n-point sweep is one symbolic analysis plus n numeric refactors.
 class AcSolver {
  public:
   AcSolver(const Mna& mna, const DcResult& op);
@@ -74,24 +69,15 @@ class AcSolver {
   std::size_t size() const { return n_; }
 
  private:
-  const num::LUC& factorAt(double frequency);
-  bool sparseActive() const { return sparse_ && !sparse_->fellBack(); }
-  /// Refactor the sparse A(w); throws on singular, demotes to dense on a
-  /// guard trip (after which sparseActive() is false).
-  void sparseFactorAt(double frequency);
+  /// Factor A(w) unless it is the cached factorization; throws
+  /// std::runtime_error on a singular system.
+  void factorAt(double frequency);
 
-  num::MatrixD g_, c_;
-  num::VecD b_;
+  AcSystem sys_;
   std::size_t n_ = 0;
+  LinearSolver<std::complex<double>> ls_;
   double cachedFrequency_ = 0.0;
-  std::optional<num::LUC> lu_;
-
-  // Sparse mode: fixed pattern with (G, C) value vectors and the complex
-  // working matrix whose values are {g, w c} per frequency.
-  std::vector<double> gVals_, cVals_;
-  num::CscMatrix<std::complex<double>> aC_;
-  std::unique_ptr<SparsePatternSolver<std::complex<double>>> sparse_;
-  bool sparseFactored_ = false;
+  bool factored_ = false;
 };
 
 /// AC sweep of the voltage at `outputNode`.  The stimulus is whatever AC

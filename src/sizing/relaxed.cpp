@@ -120,10 +120,9 @@ Performance RelaxedDcModel::evaluate(const std::vector<double>& x) const {
     return perf;
   }
   try {
-    num::MatrixD g, c;
-    num::VecD b;
-    mna.acMatrices(state, g, c, b);
-    const auto model = awe::aweLinearSystem(g, c, b, mna.nodeIndex(*outNode), opts_.aweOrder);
+    const sim::AcSystem ac = mna.linearize(state);
+    const auto model = awe::aweLinearSystem(mna.toDense(ac.g), mna.toDense(ac.c), ac.b,
+                                            mna.nodeIndex(*outNode), opts_.aweOrder);
     const double dcGain = std::abs(model.pr.evaluate({0.0, 0.0}));
     perf["gain_db"] = 20.0 * std::log10(std::max(dcGain, 1e-12));
 

@@ -75,9 +75,9 @@ TEST_P(MnaKclProperty, AcSolutionSatisfiesComplexSystem) {
   const auto op = sim::dcOperatingPoint(mna);
   ASSERT_TRUE(op.converged);
 
-  num::MatrixD g, c;
-  num::VecD b;
-  mna.acMatrices(op.x, g, c, b);
+  const sim::AcSystem ac = mna.linearize(op.x);
+  const num::MatrixD g = mna.toDense(ac.g), c = mna.toDense(ac.c);
+  const num::VecD& b = ac.b;
   const double f = 1e3 * std::pow(10.0, rng.uniform() * 5.0);
   const double w = 2 * M_PI * f;
   const std::size_t n = mna.size();

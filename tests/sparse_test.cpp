@@ -1,9 +1,8 @@
 // Tests for the sparse-MNA fast path: the general sparse LU
-// (numeric/sparse_lu.hpp), the fixed-pattern stamp plan (sim/mnasparse.hpp),
-// the solver-mode knob (sim/solver.hpp), and — the headline proof — a
-// differential suite showing synthesis results are *bit-identical* across
-// {Dense, Sparse} solver modes at 1 and 8 threads with the eval cache on or
-// off.  Like the eval cache, the solver knob may only change speed, never
+// (numeric/sparse_lu.hpp), the solver-mode knob (sim/solver.hpp), and — the
+// headline proof — a differential suite showing synthesis results are
+// *bit-identical* across {Dense, Sparse} solver modes at 1 and 8 threads
+// with the eval cache on or off.  Like the eval cache, the solver knob may only change speed, never
 // results; these tests are the enforcement.
 //
 // The solver mode is process-wide state (like the cache), so every test
@@ -30,7 +29,6 @@
 #include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/mna.hpp"
-#include "sim/mnasparse.hpp"
 #include "sim/solver.hpp"
 #include "sim/transient.hpp"
 #include "sizing/opamp.hpp"
@@ -427,118 +425,6 @@ TEST(SolverMode, FlowOptionRoutesToProcessMode) {
   EXPECT_EQ(sim::solverMode(), sim::SolverMode::Dense);
   core::applySolverOption(core::SolverOption::Auto);
   EXPECT_EQ(sim::solverMode(), sim::SolverMode::Auto);
-}
-
-// ---------------------------------------------------------------------------
-// SparseMna: the stamp plan reproduces the dense assembler bit for bit
-
-namespace {
-
-/// Opamp testbench plus one of every remaining device type, so the stamp
-/// plan covers every branch of the dense assembler's switch.
-ckt::Netlist mixedNetlist() {
-  ckt::Netlist net = sz::buildTwoStageOpamp(sz::TwoStageParams{}, proc());
-  net.addInductor("LX", "out", "lx1", 1e-6);
-  net.addResistor("RX", "lx1", "0", 50.0);
-  net.addDiode("DX", "lx1", "0", 1e-14);
-  net.addVcvs("EX", "ex1", "0", "out", "0", 2.0);
-  net.addResistor("RE", "ex1", "0", 1e4);
-  net.addVccs("GX", "0", "gx1", "out", "0", 1e-4);
-  net.addResistor("RG", "gx1", "0", 2e3);
-  net.addISource("IX", "0", "gx1", 1e-6);
-  return net;
-}
-
-}  // namespace
-
-TEST(SparseMna, AssemblyMatchesDenseBitwiseInEveryMode) {
-  const ckt::Netlist net = mixedNetlist();
-  const sim::Mna mna(net, proc());
-  sim::SparseMna sp(mna);
-  const std::size_t n = mna.size();
-  ASSERT_EQ(sp.size(), n);
-
-  num::Rng rng(123);
-  for (int trial = 0; trial < 10; ++trial) {
-    num::VecD x(n);
-    for (auto& v : x) v = rng.uniform(-0.5, proc().vdd + 0.5);
-
-    sim::AssemblyOptions aopt;
-    std::map<std::size_t, sim::CompanionState> companions;
-    if (trial % 3 == 1) {  // DC continuation shapes
-      aopt.sourceScale = rng.uniform(0.1, 1.0);
-      aopt.gmin = rng.uniform(0.0, 1e-6);
-    } else if (trial % 3 == 2) {  // transient with companion states
-      aopt.time = rng.uniform(0.0, 1e-6);
-      aopt.timestep = 1e-9;
-      aopt.trapezoidal = trial % 2 == 0;
-      for (std::size_t d = 0; d < net.devices().size(); ++d) {
-        const double pv = rng.uniform(-1.0, 1.0);
-        const double pi = rng.uniform(-1e-4, 1e-4);
-        companions[d] = {pv, pi};  // storage elements read theirs; rest ignored
-      }
-      aopt.companions = &companions;
-    }
-
-    num::MatrixD jd(n, n);
-    num::VecD fd(n, 0.0);
-    mna.assemble(x, aopt, &jd, &fd);
-    num::VecD fs;
-    sp.assemble(x, aopt, true, &fs);
-
-    EXPECT_TRUE(vecBitIdentical(fs, fd)) << "residual, trial " << trial;
-    const auto& csc = sp.csc();
-    num::MatrixD js(n, n);
-    for (std::size_t c = 0; c < n; ++c)
-      for (std::size_t k = csc.colPtr[c]; k < csc.colPtr[c + 1]; ++k)
-        js(csc.row[k], c) = csc.val[k];
-    EXPECT_TRUE(vecBitIdentical(js.data(), jd.data())) << "jacobian, trial " << trial;
-  }
-}
-
-TEST(SparseMna, AcValuesMatchDenseAcMatricesBitwise) {
-  const ckt::Netlist net = mixedNetlist();
-  const sim::Mna mna(net, proc());
-  sim::SparseMna sp(mna);
-  const std::size_t n = mna.size();
-
-  num::Rng rng(321);
-  num::VecD xOp(n);
-  for (auto& v : xOp) v = rng.uniform(0.0, proc().vdd);
-
-  num::MatrixD gd, cd;
-  num::VecD bd;
-  mna.acMatrices(xOp, gd, cd, bd);
-  std::vector<double> gv, cv;
-  num::VecD bs;
-  sp.acValues(xOp, gv, cv, bs);
-
-  EXPECT_TRUE(vecBitIdentical(bs, bd));
-  const auto& csc = sp.csc();
-  num::MatrixD gs(n, n), cs(n, n);
-  for (std::size_t c = 0; c < n; ++c)
-    for (std::size_t k = csc.colPtr[c]; k < csc.colPtr[c + 1]; ++k) {
-      gs(csc.row[k], c) = gv[k];
-      cs(csc.row[k], c) = cv[k];
-    }
-  EXPECT_TRUE(vecBitIdentical(gs.data(), gd.data()));
-  EXPECT_TRUE(vecBitIdentical(cs.data(), cd.data()));
-}
-
-TEST(SparseMna, PatternDigestSeparatesStructures) {
-  const ckt::Netlist netA = mixedNetlist();
-  const sim::Mna mnaA(netA, proc());
-  sim::SparseMna a1(mnaA), a2(mnaA);
-  EXPECT_EQ(a1.patternDigest(), a2.patternDigest());  // same structure, same key
-
-  // A grounded resistor on an existing node only restamps its diagonal and
-  // leaves the union pattern (hence the digest) unchanged — that is the
-  // cache working as intended.  A genuinely new coupling must change it.
-  ckt::Netlist netB = mixedNetlist();
-  netB.addResistor("RZ", "inp", "gx1", 1e6);  // new off-diagonal pair
-  const sim::Mna mnaB(netB, proc());
-  sim::SparseMna b(mnaB);
-  EXPECT_NE(a1.patternDigest(), b.patternDigest());
 }
 
 // ---------------------------------------------------------------------------
