@@ -17,32 +17,38 @@ double magnitude(const std::complex<double>& x) { return std::abs(x); }
 
 template <typename T>
 CscMatrix<T> CscBuilder::finalize(std::vector<std::size_t>& slotOf) const {
-  // Order registered positions by (col, row); equal positions collapse to
-  // one slot so repeated stamps accumulate.
+  // Order registered positions by (col, row) — bucket them by column, then
+  // sort each short column by row — and collapse equal positions to one
+  // slot so repeated stamps accumulate.
+  std::vector<std::size_t> start(n_ + 1, 0);
+  for (const Pos& e : entries_) {
+    if (e.r >= n_ || e.c >= n_) throw std::invalid_argument("CscBuilder: index out of range");
+    ++start[e.c + 1];
+  }
+  for (std::size_t c = 0; c < n_; ++c) start[c + 1] += start[c];
   std::vector<std::size_t> order(entries_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (entries_[a].c != entries_[b].c) return entries_[a].c < entries_[b].c;
-    return entries_[a].r < entries_[b].r;
-  });
+  {
+    std::vector<std::size_t> next(start.begin(), start.end() - 1);
+    for (std::size_t h = 0; h < entries_.size(); ++h) order[next[entries_[h].c]++] = h;
+  }
 
   CscMatrix<T> m;
   m.n = n_;
   m.colPtr.assign(n_ + 1, 0);
+  m.row.reserve(entries_.size());
   slotOf.assign(entries_.size(), kNone);
-  std::size_t prevR = kNone, prevC = kNone;
-  for (std::size_t h : order) {
-    const auto& e = entries_[h];
-    if (e.r >= n_ || e.c >= n_) throw std::invalid_argument("CscBuilder: index out of range");
-    if (e.r != prevR || e.c != prevC) {
-      m.row.push_back(e.r);
-      ++m.colPtr[e.c + 1];
-      prevR = e.r;
-      prevC = e.c;
+  for (std::size_t c = 0; c < n_; ++c) {
+    const auto first = order.begin() + static_cast<std::ptrdiff_t>(start[c]);
+    const auto last = order.begin() + static_cast<std::ptrdiff_t>(start[c + 1]);
+    std::sort(first, last,
+              [&](std::size_t a, std::size_t b) { return entries_[a].r < entries_[b].r; });
+    for (auto it = first; it != last; ++it) {
+      const std::size_t r = entries_[*it].r;
+      if (m.row.size() == m.colPtr[c] || m.row.back() != r) m.row.push_back(r);
+      slotOf[*it] = m.row.size() - 1;
     }
-    slotOf[h] = m.row.size() - 1;
+    m.colPtr[c + 1] = m.row.size();
   }
-  for (std::size_t c = 0; c < n_; ++c) m.colPtr[c + 1] += m.colPtr[c];
   m.val.assign(m.row.size(), T{});
   return m;
 }

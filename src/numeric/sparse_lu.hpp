@@ -76,6 +76,8 @@ class CscBuilder {
   }
 
   std::size_t dimension() const { return n_; }
+  /// Room for `positions` add() calls without reallocating.
+  void reserve(std::size_t positions) { entries_.reserve(positions); }
 
   /// Build the deduplicated structure (values zero-initialized).
   /// slotOf[handle] is the value index of each registered position.
