@@ -72,6 +72,7 @@ AnnealStats anneal(const AnnealProblem& problem, const AnnealOptions& opts) {
   if (temperature <= 0.0)
     temperature = calibrateTemperature(problem, rng, opts.initialAcceptance,
                                        std::max<std::size_t>(32, movesPerStage / 2));
+  stats.initialTemperature = temperature;
 
   double current = problem.cost();
   double best = current;

@@ -24,6 +24,7 @@ struct AnnealOptions {
 };
 
 struct AnnealStats {
+  double initialTemperature = 0.0;  ///< the starting temperature, as given or calibrated
   double bestCost = 0.0;
   std::size_t movesAttempted = 0;
   std::size_t movesAccepted = 0;

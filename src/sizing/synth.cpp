@@ -112,7 +112,7 @@ SynthesisResult synthesizeSingle(const CostFunction& cost, const SynthesisOption
   num::AnnealOptions aopts = opts.anneal;
   aopts.seed = seed;
   if (aopts.problemSizeHint == 16) aopts.problemSizeHint = std::max<std::size_t>(n, 4);
-  num::anneal(prob, aopts);
+  const num::AnnealStats annealStats = num::anneal(prob, aopts);
 
   // Local refinement from the annealing best.
   num::BoxBounds unitBox{std::vector<double>(n, 0.0), std::vector<double>(n, 1.0)};
@@ -133,6 +133,7 @@ SynthesisResult synthesizeSingle(const CostFunction& cost, const SynthesisOption
   res.cost = detail.cost;
   res.feasible = detail.feasible;
   res.evaluations = cost.evaluationCount();
+  res.anneal = annealStats;
   res.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   return res;
 }

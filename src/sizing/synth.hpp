@@ -36,6 +36,7 @@ struct SynthesisResult {
   bool feasible = false;           ///< all constraint specs met
   std::size_t evaluations = 0;     ///< total model evaluations
   double seconds = 0.0;            ///< wall-clock synthesis time
+  num::AnnealStats anneal;         ///< the (winning) start's annealing run
 };
 
 /// Run annealing + refinement on a compiled cost function.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/metrics.hpp"
 #include "sim/ac.hpp"
 #include "sizing/builders.hpp"
 #include "sim/dc.hpp"
@@ -144,6 +145,32 @@ TEST(Synthesis, MinimizePowerActuallyReducesIt) {
   // Unconstrained initial point burns ~1 mW; optimizer should go well below.
   const auto initPerf = model.evaluate(model.initialPoint());
   EXPECT_LT(res.performance.at("power"), initPerf.at("power"));
+}
+
+// Golden of one fixed-seed annealing run on the two-stage equation model:
+// the calibrated starting temperature (bit-exact) and the number of cost
+// evaluations the whole run made.  Both depend on every RNG draw and every
+// probe of the temperature calibration, so any change to the annealer's
+// proposal, calibration or refinement schedule shows up here.
+TEST(Synthesis, FixedSeedAnnealIsPinned) {
+  sz::TwoStageEquationModel model(proc(), 5e-12);
+  sz::SpecSet specs;
+  specs.atLeast("gain_db", 65.0)
+      .atLeast("ugf", 5e6)
+      .atLeast("pm", 55.0)
+      .atLeast("slew", 5e6)
+      .atMost("power", 5e-3)
+      .minimize("power", 0.5, 1e-3);
+  const sz::CostFunction cost(model, specs);
+  sz::SynthesisOptions opts;
+  opts.seed = 7;
+  auto& reg = amsyn::core::metrics::registry();
+  const std::uint64_t before = reg.total("sizing.cost_evals");
+  const auto res = sz::synthesize(cost, opts);
+  const std::uint64_t costEvals = reg.total("sizing.cost_evals") - before;
+  EXPECT_EQ(res.anneal.initialTemperature, 0x1.522f41c7491f5p+11);
+  EXPECT_EQ(costEvals, 1914u);
+  EXPECT_EQ(res.evaluations, costEvals);
 }
 
 TEST(SimulationModel, EvaluatesDefaultOpamp) {
