@@ -31,10 +31,6 @@ ContextConfig ContextConfig::fromEnv() {
   cfg.evalCacheEnabled = envknobs::evalCacheEnabled();
   cfg.evalCacheCapacity = envknobs::evalCacheCapacity();
   cfg.evalCacheQuantum = envknobs::evalCacheQuantum();
-  const int m = envknobs::surrogateModeIndex();
-  cfg.surrogateMode = m == 2   ? surrogate::Mode::Pruning
-                      : m == 1 ? surrogate::Mode::Ordering
-                               : surrogate::Mode::Off;
   cfg.jobDeadlineMs = envknobs::jobDeadlineMs();
   cfg.topologySpace = envknobs::topologySpaceIndex() == 1
                           ? TopologySpaceKind::Generated
@@ -66,16 +62,6 @@ ExecutionContext::ExecutionContext(ContextConfig cfg, ContextIsolation isolation
     // re-apply it — a test (or tenant) that disabled the shared cache would
     // otherwise have it silently re-enabled by the next context creation.
     evalCache_ = &cache::EvalCache::instance();
-  }
-
-  if (isolation.surrogate) {
-    ownedSurrogate_ = surrogate::Store::createIsolated();
-    ownedSurrogate_->setMode(config_.surrogateMode);
-    surrogateStore_ = ownedSurrogate_.get();
-  } else if (parent_) {
-    surrogateStore_ = &parent_->surrogateStore();
-  } else {
-    surrogateStore_ = &surrogate::Store::instance();
   }
 
   if (parent_) solver_.store(parent_->solverKind(), std::memory_order_relaxed);

@@ -1,19 +1,19 @@
 // Scoped execution contexts: the explicit object behind every piece of
-// state that PRs 3–9 left process-global (metrics attribution, eval-cache
-// and surrogate handles, solver-mode preference, batch fault plans, env
-// tuning knobs).  One process serving many synthesis jobs — the ROADMAP's
+// state that PRs 3–9 left process-global (metrics attribution, the
+// eval-cache handle, solver-mode preference, batch fault plans, env tuning
+// knobs).  One process serving many synthesis jobs — the ROADMAP's
 // synthesis-as-a-service daemon — needs those separated per tenant/job;
 // a single-flow CLI run should not have to know contexts exist.  Both are
 // served by the same mechanism:
 //
 //   * The *ambient* context is a lazily-created, process-lifetime default
 //     whose config snapshot comes from the AMSYN_* environment and whose
-//     cache/surrogate handles are the legacy shared singletons.  Code that
+//     cache handle is the legacy shared singleton.  Code that
 //     never installs a context resolves everything through it, which makes
 //     every pre-context entry point behave exactly as before.
 //   * An *explicit* context carries its own config, solver preference,
 //     fault schedule, and metrics slice; optionally its own (isolated)
-//     eval cache and surrogate store.  Installing it with ContextScope
+//     eval cache.  Installing it with ContextScope
 //     makes ExecutionContext::current() — and therefore every subsystem
 //     that resolves through it — see that context on the installing
 //     thread.  parallelFor propagates the submitting thread's context into
@@ -23,13 +23,13 @@
 // (slices are additive observers, never the source of truth — process
 // totals stay thread-count-invariant and bit-identical with or without
 // slicing), the sparse-solver symbolic cache (pure speed, keyed by
-// structure), and — by default — the eval cache and surrogate store, whose
-// cross-job amortization is their whole point.  What is per-context: the
+// structure), and — by default — the eval cache, whose cross-job
+// amortization is its whole point.  What is per-context: the
 // config snapshot, solver-mode preference, batch fault schedule, metrics
 // slice, and any handle the owner asked to isolate.
 //
 // Layering: amsyn_context sits directly above amsyn_metrics /
-// amsyn_evalcache / amsyn_surrogate and below everything else (parallel,
+// amsyn_evalcache and below everything else (parallel,
 // sim, sizing, topology, manufacture, core).  It must not depend on the
 // thread pool, which is why propagation lives in parallel.hpp, not here.
 #pragma once
@@ -43,7 +43,6 @@
 
 #include "core/evalcache.hpp"
 #include "core/metrics.hpp"
-#include "core/surrogate.hpp"
 
 namespace amsyn::core {
 
@@ -55,6 +54,11 @@ enum class SolverKind : std::uint8_t { Auto, Dense, Sparse };
 /// Topology-space selection, mirrored by topology::TopologySpace's
 /// Legacy/Generated alternatives (same layering reason as SolverKind).
 enum class TopologySpaceKind : std::uint8_t { Legacy, Generated };
+
+/// Type of ContextConfig::surrogateMode and FlowOptions::surrogate.  amsyn
+/// has no learned surrogate: both fields remain only because the benchmark
+/// harness in perfbench/ still names them, and nothing reads either.
+enum class SurrogateOption : std::uint8_t { Off };
 
 /// One immutable snapshot of every AMSYN_* tuning knob.  fromEnv() is the
 /// only production reader of those variables (via core/envknobs.hpp);
@@ -70,8 +74,8 @@ struct ContextConfig {
   bool evalCacheEnabled = true;
   std::size_t evalCacheCapacity = std::size_t{1} << 16;
   double evalCacheQuantum = 0.0;
-  /// AMSYN_SURROGATE.
-  surrogate::Mode surrogateMode = surrogate::Mode::Off;
+  /// Unread; kept only because perfbench/ compares it.
+  SurrogateOption surrogateMode = SurrogateOption::Off;
   /// AMSYN_JOB_DEADLINE_MS (0 = no deadline).
   std::uint64_t jobDeadlineMs = 0;
   /// AMSYN_TOPOLOGY_SPACE.
@@ -84,7 +88,6 @@ struct ContextConfig {
 /// with the process (see the file comment for why sharing is the default).
 struct ContextIsolation {
   bool evalCache = false;
-  bool surrogate = false;
 };
 
 /// Per-context batch fault schedule — the scoped replacement for the old
@@ -110,7 +113,7 @@ class ExecutionContext {
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   /// The process-default context: config snapshotted from the environment
-  /// on first use, shared cache/surrogate handles, no metrics slice (so
+  /// on first use, the shared cache handle, no metrics slice (so
   /// un-scoped code pays one thread-local null check and nothing else).
   /// Created lazily and leaked, like the registry.
   static ExecutionContext& ambient();
@@ -132,12 +135,10 @@ class ExecutionContext {
 
   const ContextConfig& config() const { return config_; }
 
-  /// Context-resolved handles: the shared process singletons unless this
-  /// context was built with isolation.
+  /// Context-resolved cache handle: the shared process singleton unless
+  /// this context was built with isolation.
   cache::EvalCache& evalCache() { return *evalCache_; }
-  surrogate::Store& surrogateStore() { return *surrogateStore_; }
   bool hasIsolatedEvalCache() const { return ownedEvalCache_ != nullptr; }
-  bool hasIsolatedSurrogate() const { return ownedSurrogate_ != nullptr; }
 
   /// Per-context solver preference (initialized from config; mutable so
   /// FlowOptions::solver can override per run without leaking into other
@@ -165,9 +166,7 @@ class ExecutionContext {
   ContextConfig config_;
   ExecutionContext* parent_ = nullptr;
   std::unique_ptr<cache::EvalCache> ownedEvalCache_;
-  std::unique_ptr<surrogate::Store> ownedSurrogate_;
   cache::EvalCache* evalCache_ = nullptr;
-  surrogate::Store* surrogateStore_ = nullptr;
   std::atomic<SolverKind> solver_{SolverKind::Auto};
   FaultScheduleState faultSchedule_;
   std::unique_ptr<metrics::ContextSlice> slice_;
@@ -188,13 +187,10 @@ class ContextScope {
   metrics::SliceScope sliceScope_;
 };
 
-/// Shorthands for the hot call sites (sizing::safeEvaluate, cache-key
-/// builders, surrogate consumers).
+/// Shorthand for the hot call sites (sizing::safeEvaluate, cache-key
+/// builders).
 inline cache::EvalCache& currentEvalCache() {
   return ExecutionContext::current().evalCache();
-}
-inline surrogate::Store& currentSurrogateStore() {
-  return ExecutionContext::current().surrogateStore();
 }
 
 }  // namespace amsyn::core

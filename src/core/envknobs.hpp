@@ -1,18 +1,18 @@
 // The single sanctioned locus for AMSYN_* environment reads.
 //
 // Every process-level tuning knob (threads, solver mode, eval-cache policy,
-// surrogate mode, job deadline, topology space) is parsed here and nowhere
-// else: core::ContextConfig::fromEnv() snapshots all of them once into a
-// plain struct, and the two bottom-layer subsystems that must self-seed
-// before any ExecutionContext exists (the shared EvalCache / surrogate
-// Store singletons, plus the global thread pool) call the same parsers so
-// their defaults cannot drift from the config's.  tools/context_lint.cmake
+// job deadline, topology space) is parsed here and nowhere else:
+// core::ContextConfig::fromEnv() snapshots all of them once into a plain
+// struct, and the two bottom-layer subsystems that must self-seed before
+// any ExecutionContext exists (the shared EvalCache singleton and the
+// global thread pool) call the same parsers so their defaults cannot drift
+// from the config's.  tools/context_lint.cmake
 // fails the build when `getenv("AMSYN_` appears in any other file under
 // src/, so new knobs are forced through this header and therefore through
 // ContextConfig.
 //
 // Header-only and dependency-free on purpose: it is included from
-// amsyn_metrics-adjacent leaf libraries (evalcache, surrogate, parallel)
+// amsyn_metrics-adjacent leaf libraries (evalcache, parallel)
 // as well as from amsyn_context, so it must sit below all of them.
 #pragma once
 
@@ -74,19 +74,6 @@ inline double evalCacheQuantum() {
     if (v > 0.0 && v < 0.5) return v;
   }
   return 0.0;
-}
-
-/// AMSYN_SURROGATE mode string: "" / "0" / "off" = Off, "1"/"on"/"true"/
-/// "order"/"ordering" = Ordering, "prune"/"pruning" = Pruning.  Returned as
-/// a small integer (0/1/2) so this header does not depend on the surrogate
-/// library's enum.
-inline int surrogateModeIndex() {
-  const char* env = std::getenv("AMSYN_SURROGATE");
-  if (!env || !*env) return 0;
-  const std::string v(env);
-  if (v == "1" || v == "on" || v == "true" || v == "order" || v == "ordering") return 1;
-  if (v == "prune" || v == "pruning") return 2;
-  return 0;
 }
 
 /// AMSYN_JOB_DEADLINE_MS: default per-job wall-clock deadline (0 = none).

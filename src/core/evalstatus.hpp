@@ -39,7 +39,6 @@ enum class EvalStatus : std::uint8_t {
   DeadlineExpired,   ///< the job's wall-clock deadline passed mid-evaluation
   OutOfMemory,       ///< std::bad_alloc was contained (never retried: see below)
   Rejected,          ///< admission control shed the job before it ever ran
-  SurrogatePruned,   ///< skipped by the surrogate's confident-infeasible band
   kCount,            ///< number of reason codes (for counter arrays)
 };
 
@@ -61,7 +60,6 @@ inline constexpr const char* evalStatusName(EvalStatus s) {
     case EvalStatus::DeadlineExpired: return "deadline_expired";
     case EvalStatus::OutOfMemory: return "out_of_memory";
     case EvalStatus::Rejected: return "rejected";
-    case EvalStatus::SurrogatePruned: return "surrogate_pruned";
     case EvalStatus::kCount: break;
   }
   return "unknown";

@@ -96,7 +96,6 @@ std::vector<FlowResult> synthesizeBatch(const std::vector<sizing::SpecSet>& batc
   ExecutionContext& parent = ExecutionContext::current();
   applyEvalCacheOptions(opts.evalCache, parent);
   applySolverOption(opts.solver, parent);
-  applySurrogateOption(opts.surrogate, parent);
   return parallelMap(batch.size(), [&](std::size_t i) {
     // One child context per job: same config/handles as the caller, its own
     // fault schedule (inheriting the caller's armed plan through the chain)

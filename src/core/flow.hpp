@@ -81,19 +81,6 @@ enum class SolverOption {
   Sparse,   ///< always the sparse path (dense fallback on guard trips)
 };
 
-/// Learned-surrogate screening mode (core/surrogate.hpp) applied process-
-/// wide at flow start.  Ordering only permutes the parallel evaluation
-/// order of ranked batches — results stay bit-identical (the
-/// tests/surrogate_test.cpp differential suite proves it); Pruning may skip
-/// confidently-infeasible evaluations and therefore can change results —
-/// never the default, and every pruned candidate is logged for audit.
-enum class SurrogateOption {
-  Default,   ///< keep the current / AMSYN_SURROGATE env-derived setting
-  Off,       ///< surrogate neither trains nor predicts
-  Ordering,  ///< train + pre-rank evaluation batches (bit-identical)
-  Pruning,   ///< ordering + skip confidently-infeasible evaluations
-};
-
 struct FlowOptions {
   double loadCap = 5e-12;
   std::size_t maxRedesigns = 4;   ///< layout->synthesis loop closures
@@ -113,7 +100,7 @@ struct FlowOptions {
   topology::TopologySpace topologySpace = topology::TopologySpace::Default;
   EvalCacheOptions evalCache;
   SolverOption solver = SolverOption::Default;
-  SurrogateOption surrogate = SurrogateOption::Default;
+  SurrogateOption surrogate = SurrogateOption::Off;  ///< unread; perfbench/ sets it
   /// Per-job wall-clock deadline in ms (0 = the AMSYN_JOB_DEADLINE_MS env
   /// var, else none).  The engine checks it at every stage boundary and
   /// arms it on the verification measurements' budgets, so a livelocked

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/evalcache.hpp"
-#include "core/surrogate.hpp"
 #include "core/trace.hpp"
 #include "knowledge/opamp_plans.hpp"
 #include "sim/fault.hpp"
@@ -117,30 +116,6 @@ void applySolverOption(SolverOption opt, ExecutionContext& ctx) {
   }
 }
 
-void applySurrogateOption(SurrogateOption opt) {
-  applySurrogateOption(opt, ExecutionContext::current());
-}
-
-void applySurrogateOption(SurrogateOption opt, ExecutionContext& ctx) {
-  auto& store = ctx.surrogateStore();
-  switch (opt) {
-    case SurrogateOption::Default:
-      // Touch the store anyway (mode() forces the handle) so the
-      // core.surrogate.* counters exist in every flow's report snapshot.
-      (void)store.mode();
-      break;
-    case SurrogateOption::Off:
-      store.setMode(surrogate::Mode::Off);
-      break;
-    case SurrogateOption::Ordering:
-      store.setMode(surrogate::Mode::Ordering);
-      break;
-    case SurrogateOption::Pruning:
-      store.setMode(surrogate::Mode::Pruning);
-      break;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // FlowEngine
 
@@ -230,7 +205,6 @@ FlowResult FlowEngine::run(const sizing::SpecSet& specs, const circuit::Process&
   ContextScope contextScope(exec);
   applyEvalCacheOptions(opts.evalCache, exec);
   applySolverOption(opts.solver, exec);
-  applySurrogateOption(opts.surrogate, exec);
 
   DesignContext ctx(specs, proc, opts);
   ctx.exec = &exec;

@@ -311,11 +311,4 @@ void applyEvalCacheOptions(const EvalCacheOptions& opts, ExecutionContext& ctx);
 void applySolverOption(SolverOption opt);
 void applySolverOption(SolverOption opt, ExecutionContext& ctx);
 
-/// Apply a surrogate-screening choice to a context's store handle (same
-/// call sites as applyEvalCacheOptions; Default is a no-op).  Always
-/// touches the store so its core.surrogate.* counters register eagerly —
-/// run-report schemas must match across modes.
-void applySurrogateOption(SurrogateOption opt);
-void applySurrogateOption(SurrogateOption opt, ExecutionContext& ctx);
-
 }  // namespace amsyn::core

@@ -150,7 +150,6 @@ BatchRunResult JobQueue::run(const std::vector<sizing::SpecSet>& batch,
   metrics::add(counters.submitted, batch.size());
   applyEvalCacheOptions(opts_.flow.evalCache);
   applySolverOption(opts_.flow.solver);
-  applySurrogateOption(opts_.flow.surrogate);
 
   BatchRunResult out;
   out.jobs.resize(batch.size());

@@ -2,12 +2,9 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
 
-#include "core/context.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
-#include "core/surrogate.hpp"
 #include "core/trace.hpp"
 #include "numeric/optimize.hpp"
 
@@ -38,19 +35,6 @@ circuit::Process VariationSpace::apply(const circuit::Process& nominal,
 }
 
 namespace {
-
-// Vertex-screening gate (surrogate Pruning mode).  A vertex is skipped when
-// its predicted margin's lower confidence bound clears the best vertex's
-// upper bound by kScreenMargin — i.e. it is confidently NOT the worst
-// corner, so dropping it cannot move the hunt's argmin.  The vertex
-// attaining the best upper bound is never skipped by construction, so the
-// hunt always evaluates the predicted worst case for real.  The 6-sigma
-// band carries the statistical safety; the fixed 5%-of-normalization guard
-// on top covers residual miscalibration.  The audit in
-// tests/surrogate_test.cpp re-evaluates every skipped vertex and budgets
-// ZERO that beat the found minimum.
-constexpr double kScreenZ = 6.0;
-constexpr double kScreenMargin = 0.05;
 
 /// Signed normalized margin of a spec at a performance value (negative =
 /// violated).  Objectives have no margin (+inf).
@@ -105,97 +89,17 @@ WorstCorner worstCaseCorner(const ModelFactory& factory, const circuit::Process&
       c[i] = (mask >> i) & 1u ? 1.0 : 0.0;
     return c;
   };
-  // Surrogate ordering: predict each vertex's margin and claim the most
-  // violating ones first (a violated corner found early warms the cache for
-  // the refinement stage sooner).  Margins still land in their own mask
-  // slot and the reduction below scans mask order, so the permutation is
-  // pure scheduling — the winning corner is bit-identical either way.
-  //
-  // Surrogate pruning adds vertex screening on top: a vertex whose margin
-  // is confidently (kScreenZ sigma + kScreenMargin) above the best vertex's
-  // upper bound cannot be the argmin, so it is skipped entirely.  Skipped
-  // vertices are excluded from the reduction (never placeholder-scored) and
-  // logged for the offline audit.
-  std::vector<std::size_t> order(kVertices);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<char> skipped(kVertices, 0);
-  auto& surrStore = core::currentSurrogateStore();
-  const auto surrMode = surrStore.mode();
-  if (surrMode != core::surrogate::Mode::Off && !spec.isObjective()) {
-    struct VertexPred {
-      double margin = 0.0;  ///< normalized margin at the predicted mean
-      double sigmaN = 0.0;  ///< predictive sigma / spec normalization
-      bool calibrated = false;
-      core::cache::Digest128 classKey;
-    };
-    std::vector<std::optional<VertexPred>> preds(kVertices);
-    std::vector<std::optional<double>> scores(kVertices);
-    bool any = false;
-    for (std::size_t mask = 0; mask < kVertices; ++mask) {
-      try {
-        const circuit::Process p = space.apply(nominal, vertexCoords(mask));
-        const auto model = factory(p);
-        if (const auto cand = sizing::surrogateCandidate(*model, x)) {
-          if (const auto pred = surrStore.predict(*cand, spec.performance)) {
-            sizing::Performance predicted{{spec.performance, pred->mean}};
-            preds[mask] = VertexPred{signedMargin(spec, predicted),
-                                     pred->sigma / spec.normalization(),
-                                     pred->calibrated, cand->classKey};
-            scores[mask] = preds[mask]->margin;
-          }
-        }
-      } catch (...) {
-        // A factory that throws for some corner fails the real evaluation
-        // too; ranking just leaves that vertex unscored.
-      }
-      any = any || scores[mask].has_value();
-    }
-    if (any) {
-      order = core::surrogate::orderByScore(scores);
-      surrStore.noteOrderedBatch();
-    }
-    if (surrMode == core::surrogate::Mode::Pruning) {
-      // Best (lowest) upper confidence bound among calibrated predictions.
-      // The vertex attaining it always stays: its own lower bound cannot
-      // clear its upper bound, so the comparison below keeps it.
-      double bestUpper = std::numeric_limits<double>::infinity();
-      for (std::size_t mask = 0; mask < kVertices; ++mask)
-        if (preds[mask] && preds[mask]->calibrated)
-          bestUpper = std::min(bestUpper,
-                               preds[mask]->margin + kScreenZ * preds[mask]->sigmaN);
-      if (std::isfinite(bestUpper)) {
-        for (std::size_t mask = 0; mask < kVertices; ++mask) {
-          if (!preds[mask] || !preds[mask]->calibrated) continue;
-          const double lower = preds[mask]->margin - kScreenZ * preds[mask]->sigmaN;
-          if (lower > bestUpper + kScreenMargin) {
-            skipped[mask] = 1;
-            surrStore.recordPrune({preds[mask]->classKey, x, spec.performance, lower,
-                                   preds[mask]->sigmaN, vertexCoords(mask)});
-          }
-        }
-      }
-    }
-  }
-  std::vector<std::size_t> toEval;
-  toEval.reserve(kVertices);
-  for (std::size_t i = 0; i < kVertices; ++i)
-    if (!skipped[order[i]]) toEval.push_back(order[i]);
-  std::vector<double> vertexMargins(kVertices,
-                                    std::numeric_limits<double>::infinity());
-  core::parallelFor(toEval.size(), [&](std::size_t i) {
-    const std::size_t mask = toEval[i];
+  std::vector<double> vertexMargins(kVertices);
+  core::parallelFor(kVertices, [&](std::size_t mask) {
     vertexMargins[mask] = marginAt(vertexCoords(mask));
   });
-  core::metrics::add(cVertexEvals, toEval.size());
+  core::metrics::add(cVertexEvals, kVertices);
   WorstCorner worst;
   worst.margin = std::numeric_limits<double>::infinity();
   for (std::size_t mask = 0; mask < kVertices; ++mask) {
-    if (skipped[mask]) continue;  // confidently not the argmin; audited
     if (vertexMargins[mask] < worst.margin) {
       worst.margin = vertexMargins[mask];
-      worst.corner.assign(VariationSpace::kDims, 0.0);
-      for (std::size_t i = 0; i < VariationSpace::kDims; ++i)
-        worst.corner[i] = (mask >> i) & 1u ? 1.0 : 0.0;
+      worst.corner = vertexCoords(mask);
     }
   }
 
@@ -298,53 +202,12 @@ class CornerSetModel : public sizing::PerformanceModel {
     return h.digest();
   }
 
-  /// Surrogate class: every sub-model's full signature (class key AND
-  /// context — the corner set is frozen per instance, so corner parameters
-  /// are identity here, not features) plus the spec digest that shapes the
-  /// min/max aggregation.  Context stays empty: the design vector is the
-  /// only thing that varies across evaluations of one instance.
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    core::cache::Hasher128 h;
-    h.mixString("surr-corner-set");
-    h.mix(models_.size());
-    for (const auto& m : models_) {
-      const auto sub = m->surrogateSignature();
-      if (!sub) return std::nullopt;
-      h.mixDigest(sub->classKey);
-      h.mixDoubles(sub->context);
-    }
-    h.mixDigest(specs_.digest());
-    return SurrogateSignature{h.digest(), {}};
-  }
-
   std::size_t cornerCount() const { return models_.size() - 1; }
 
  private:
   sizing::SpecSet specs_;
   std::vector<circuit::Process> processes_;
   std::vector<std::unique_ptr<sizing::PerformanceModel>> models_;
-};
-
-/// Scoped downgrade Pruning -> Ordering for the cutting-plane synthesis
-/// phases.  The annealer consumes exact costs sequentially; substituting
-/// predicted costs for pruned candidates redirects its accept decisions and
-/// changes the final design.  Within robustSynthesize, pruning is therefore
-/// restricted to the hunt's vertex screening (argmin-safe by construction);
-/// the optimizer itself still gets ordering.
-class ScopedOrderingOnly {
- public:
-  ScopedOrderingOnly()
-      : store_(core::currentSurrogateStore()), prev_(store_.mode()) {
-    if (prev_ == core::surrogate::Mode::Pruning)
-      store_.setMode(core::surrogate::Mode::Ordering);
-  }
-  ~ScopedOrderingOnly() { store_.setMode(prev_); }
-  ScopedOrderingOnly(const ScopedOrderingOnly&) = delete;
-  ScopedOrderingOnly& operator=(const ScopedOrderingOnly&) = delete;
-
- private:
-  core::surrogate::Store& store_;
-  core::surrogate::Mode prev_;
 };
 
 }  // namespace
@@ -362,7 +225,6 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
     const std::uint64_t t0 = core::trace::monotonicNowNs();
     const auto nominalModel = factory(nominal);
     const sizing::CostFunction cost(*nominalModel, specs, opts.cost);
-    const ScopedOrderingOnly noPruning;
     result.nominal = sizing::synthesize(cost, opts.synthesis);
     result.nominalEvaluations = static_cast<double>(result.nominal.evaluations);
     result.nominalSeconds =
@@ -402,7 +264,6 @@ RobustResult robustSynthesize(const ModelFactory& factory, const circuit::Proces
 
     CornerSetModel cornerModel(factory, nominal, space, specs, corners);
     const sizing::CostFunction cost(cornerModel, specs, opts.cost);
-    const ScopedOrderingOnly noPruning;
     current = sizing::synthesize(cost, opts.synthesis);
     // Each corner-set evaluation simulates (1 + #corners) models.
     robustEvals +=

@@ -19,35 +19,11 @@ double calibrateTemperature(const AnnealProblem& p, Rng& rng, double targetAccep
                             std::size_t samples) {
   std::vector<double> uphill;
   const double cur = p.cost();
-  if (p.generateNeighbor && p.costAt) {
-    // Batched path: draw every probe up front (the generator consumes the
-    // exact RNG sequence the serial propose loop would, and the state never
-    // moves, so no undo is needed), optionally let the problem pick the
-    // evaluation order, then collect deltas in probe order.  The uphill sum
-    // — and therefore the temperature — is bit-identical to the serial
-    // path; only the evaluation schedule can differ.
-    std::vector<std::vector<double>> probes(samples);
-    for (std::size_t i = 0; i < samples; ++i) probes[i] = p.generateNeighbor(rng);
-    std::vector<std::size_t> order(samples);
-    for (std::size_t i = 0; i < samples; ++i) order[i] = i;
-    if (p.rankBatch) {
-      const auto ranked = p.rankBatch(probes);
-      if (ranked.size() == samples) order = ranked;
-    }
-    std::vector<double> deltas(samples);
-    for (std::size_t k = 0; k < samples; ++k) {
-      const std::size_t i = order[k];
-      deltas[i] = p.costAt(probes[i]) - cur;
-    }
-    for (std::size_t i = 0; i < samples; ++i)
-      if (deltas[i] > 0) uphill.push_back(deltas[i]);
-  } else {
-    for (std::size_t i = 0; i < samples; ++i) {
-      p.propose(rng);
-      const double delta = p.cost() - cur;
-      if (delta > 0) uphill.push_back(delta);
-      p.undo();
-    }
+  for (std::size_t i = 0; i < samples; ++i) {
+    p.propose(rng);
+    const double delta = p.cost() - cur;
+    if (delta > 0) uphill.push_back(delta);
+    p.undo();
   }
   if (uphill.empty()) return 1.0;
   double mean = 0.0;

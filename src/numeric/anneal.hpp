@@ -42,21 +42,6 @@ struct AnnealProblem {
   std::function<void(Rng&)> propose;   ///< apply a random move
   std::function<void()> undo;          ///< revert the last move
   std::function<void()> snapshot;      ///< record current state as best (optional)
-
-  // Optional batched-calibration support.  When generateNeighbor AND costAt
-  // are set, temperature calibration draws its whole probe batch first
-  // (generateNeighbor must consume exactly the RNG draws propose would and
-  // replicate any proposal-state side effects, WITHOUT touching the current
-  // state) and evaluates the probes via costAt.  Deltas enter the uphill
-  // statistic in probe order regardless of evaluation order, so the
-  // calibrated temperature is bit-identical to the propose/cost/undo path.
-  // rankBatch, when additionally set, returns a permutation of batch
-  // indices giving the *evaluation* order (e.g. a learned surrogate putting
-  // promising probes first — core/surrogate.hpp); it is pure scheduling.
-  std::function<std::vector<double>(Rng&)> generateNeighbor;
-  std::function<double(const std::vector<double>&)> costAt;
-  std::function<std::vector<std::size_t>(const std::vector<std::vector<double>>&)>
-      rankBatch;
 };
 
 /// Run simulated annealing; returns statistics.  The problem's state is left

@@ -36,13 +36,6 @@ TwoStageEquationModel::TwoStageEquationModel(const circuit::Process& proc, doubl
   keyPrefix_.mixString("eq-two-stage");
   circuit::hashProcess(keyPrefix_, proc_);
   keyPrefix_.mixDouble(loadCap_);
-  // Surrogate class: tag + load only.  The process is context, not
-  // identity, so instances at different process points (yield sampling,
-  // per-corner libraries) pool their observations into one model.
-  core::cache::Hasher128 sh;
-  sh.mixString("surr-eq-two-stage");
-  sh.mixDouble(loadCap_);
-  surrogateSig_ = {sh.digest(), processSurrogateContext(proc_)};
 }
 
 Performance TwoStageEquationModel::evaluate(const std::vector<double>& x) const {
@@ -100,10 +93,6 @@ OtaEquationModel::OtaEquationModel(const circuit::Process& proc, double loadCap)
   keyPrefix_.mixString("eq-ota");
   circuit::hashProcess(keyPrefix_, proc_);
   keyPrefix_.mixDouble(loadCap_);
-  core::cache::Hasher128 sh;
-  sh.mixString("surr-eq-ota");
-  sh.mixDouble(loadCap_);
-  surrogateSig_ = {sh.digest(), processSurrogateContext(proc_)};
 }
 
 Performance OtaEquationModel::evaluate(const std::vector<double>& x) const {
@@ -243,15 +232,6 @@ class TwoStageCornerModel : public PerformanceModel {
     circuit::hashProcess(keyPrefix_, corner_);
     circuit::hashProcess(keyPrefix_, nominal);
     keyPrefix_.mixDouble(loadCap_);
-    // Surrogate class excludes the corner: every vertex and coordinate-
-    // search probe of one hunt trains a single model, with the corner's
-    // electrical parameters riding along as context features.  A per-corner
-    // class would see one observation per round and never calibrate.
-    core::cache::Hasher128 sh;
-    sh.mixString("surr-eq-two-stage-corner");
-    circuit::hashProcess(sh, nominal);
-    sh.mixDouble(loadCap_);
-    surrogateSig_ = {sh.digest(), processSurrogateContext(corner_)};
   }
 
   const std::vector<DesignVariable>& variables() const override {
@@ -279,16 +259,11 @@ class TwoStageCornerModel : public PerformanceModel {
   // 80-iteration UGF bisection, times the vertex fan-out) clears the
   // cache-transaction bar.
 
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    return surrogateSig_;
-  }
-
  private:
   circuit::Process corner_;
   TwoStageEquationModel nominalModel_;  ///< owns the nominal process
   double loadCap_;
   core::cache::Hasher128 keyPrefix_;  ///< tag+corner+nominal+loadCap
-  SurrogateSignature surrogateSig_;   ///< tag+nominal+loadCap; corner as context
 };
 
 }  // namespace

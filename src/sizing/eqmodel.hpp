@@ -34,12 +34,6 @@ class TwoStageEquationModel : public PerformanceModel {
   /// transaction — so caching them is pure overhead (the BENCH_cache
   /// genetic workload measures exactly this floor).
   EvalCost evalCost() const override { return EvalCost::Cheap; }
-  /// Cheap models are never pruned (tryPrune skips them) but still attest a
-  /// signature so ordering mode can pre-rank genetic offspring over the
-  /// default equation-model library.
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    return surrogateSig_;
-  }
 
   /// Map a design point to device sizes for simulation / layout.
   TwoStageParams toParams(const std::vector<double>& x) const;
@@ -51,7 +45,6 @@ class TwoStageEquationModel : public PerformanceModel {
   double loadCap_;
   std::vector<DesignVariable> vars_;
   core::cache::Hasher128 keyPrefix_;  ///< tag+process+loadCap, mixed once
-  SurrogateSignature surrogateSig_;   ///< tag+loadCap class; process as context
 };
 
 /// Five-transistor OTA, equation-based.
@@ -66,9 +59,6 @@ class OtaEquationModel : public PerformanceModel {
   std::optional<core::cache::Digest128> cacheKey(
       const std::vector<double>& x) const override;
   EvalCost evalCost() const override { return EvalCost::Cheap; }
-  std::optional<SurrogateSignature> surrogateSignature() const override {
-    return surrogateSig_;
-  }
 
   OtaParams toParams(const std::vector<double>& x) const;
 
@@ -77,7 +67,6 @@ class OtaEquationModel : public PerformanceModel {
   double loadCap_;
   std::vector<DesignVariable> vars_;
   core::cache::Hasher128 keyPrefix_;  ///< tag+process+loadCap, mixed once
-  SurrogateSignature surrogateSig_;   ///< tag+loadCap class; process as context
 };
 
 /// Evaluate a *fixed geometry* (widths, Cc, Ibias) under an arbitrary

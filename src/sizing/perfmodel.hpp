@@ -16,11 +16,6 @@
 #include "core/context.hpp"
 #include "core/evalcache.hpp"
 #include "core/evalstatus.hpp"
-#include "core/surrogate.hpp"
-
-namespace amsyn::circuit {
-struct Process;
-}
 
 namespace amsyn::sizing {
 
@@ -116,22 +111,6 @@ class PerformanceModel {
   /// evaluate(x) a miss would.
   virtual EvalCost evalCost() const { return EvalCost::Heavy; }
 
-  /// Learnable-family attestation for the surrogate store (core/surrogate).
-  /// `classKey` identifies everything evaluate(x) depends on EXCEPT what the
-  /// feature vector encodes; `context` carries the remainder as normalized
-  /// features.  Corner-evaluating models deliberately exclude the corner
-  /// process from the class key and encode it in the context instead, so
-  /// all vertices of one corner hunt train a single model — per-corner
-  /// classes would see one observation each and never calibrate.  nullopt
-  /// (the default) opts the model out of surrogate training/screening.
-  struct SurrogateSignature {
-    core::cache::Digest128 classKey;
-    std::vector<double> context;
-  };
-  virtual std::optional<SurrogateSignature> surrogateSignature() const {
-    return std::nullopt;
-  }
-
   std::size_t dimension() const { return variables().size(); }
 };
 
@@ -153,27 +132,11 @@ class PerformanceModel {
 /// cache changes — results are bit-identical with the cache on or off.
 Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x);
 
-/// Context-explicit overload: resolves the eval cache and surrogate store
-/// through `ctx` instead of the calling thread's current context.  The
+/// Context-explicit overload: resolves the eval cache through `ctx` instead of the calling thread's current context.  The
 /// two-argument form above is exactly this with
 /// core::ExecutionContext::current().
 Performance safeEvaluate(const PerformanceModel& model, const std::vector<double>& x,
                          core::ExecutionContext& ctx);
-
-/// Featurize one (model, x) pair for the surrogate store: nullopt when the
-/// model attests no signature; otherwise features =
-/// [1 (bias)] ++ unit-cube design coordinates (log-aware per DesignVariable)
-/// ++ the signature's context, and a class key derived from the signature's
-/// with the feature dimension mixed in (layout drift can never alias an old
-/// class).
-std::optional<core::surrogate::Candidate> surrogateCandidate(
-    const PerformanceModel& model, const std::vector<double>& x);
-
-/// Normalized feature encoding of the process parameters a corner hunt
-/// varies (manufacture::VariationSpace::apply): vdd, temperature, kp, vt0.
-/// Shared by every corner-evaluating model's signature context so one
-/// surrogate class spans all vertices of a hunt.
-std::vector<double> processSurrogateContext(const circuit::Process& proc);
 
 inline std::vector<double> PerformanceModel::initialPoint() const {
   std::vector<double> x;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
-#include "core/context.hpp"
 #include "core/parallel.hpp"
-#include "core/surrogate.hpp"
 #include "core/trace.hpp"
 #include "numeric/optimize.hpp"
 #include "numeric/rng.hpp"
@@ -76,39 +73,6 @@ SynthesisResult synthesizeSingle(const CostFunction& cost, const SynthesisOption
   };
   prob.undo = [&] { u = uPrev; };
   prob.snapshot = [&] { uBest = u; };
-  // Batched-calibration hooks.  generateNeighbor mirrors propose exactly —
-  // same RNG draws in the same order, same stepScale/sinceCool decay — but
-  // perturbs a copy, so calibration probes never move the state.  Both
-  // hooks are installed unconditionally: the annealer then uses the same
-  // batched arithmetic whether or not a surrogate ranks the batch, keeping
-  // the two arms trivially comparable.
-  prob.generateNeighbor = [&](num::Rng& rng) {
-    std::vector<double> p = u;
-    const std::size_t moves = 1 + rng.index(3);
-    for (std::size_t m = 0; m < moves; ++m) {
-      const std::size_t i = rng.index(n);
-      p[i] = std::clamp(p[i] + rng.normal(0.0, stepScale * vars[i].moveScale), 0.0, 1.0);
-    }
-    if (++sinceCool % 512 == 0) stepScale = std::max(0.02, stepScale * 0.95);
-    return p;
-  };
-  prob.costAt = [&](const std::vector<double>& p) { return cost(scaler.fromUnit(p)); };
-  prob.rankBatch = [&](const std::vector<std::vector<double>>& probes) {
-    std::vector<std::size_t> order(probes.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    auto& store = core::currentSurrogateStore();
-    if (store.mode() == core::surrogate::Mode::Off) return order;
-    std::vector<std::optional<double>> scores(probes.size());
-    bool any = false;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      scores[i] = cost.predictedCost(scaler.fromUnit(probes[i]));
-      any = any || scores[i].has_value();
-    }
-    if (!any) return order;
-    store.noteOrderedBatch();
-    return core::surrogate::orderByScore(scores);
-  };
-
   num::AnnealOptions aopts = opts.anneal;
   aopts.seed = seed;
   if (aopts.problemSizeHint == 16) aopts.problemSizeHint = std::max<std::size_t>(n, 4);

@@ -1,6 +1,6 @@
 // Tests for scoped execution contexts (core/context.hpp): config snapshot
 // semantics, scope installation, per-context metrics slices, fault-plan
-// isolation, isolated cache/surrogate handles — and the PR's headline
+// isolation, isolated cache handles — and the PR's headline
 // proof, a differential suite showing the whole flow and the robust corner
 // search are *bit-identical* between the legacy ambient-global path and an
 // explicitly installed context, at 1 and 8 threads, cache on and off.
@@ -28,7 +28,6 @@
 #include "core/flowgraph.hpp"
 #include "core/metrics.hpp"
 #include "core/parallel.hpp"
-#include "core/surrogate.hpp"
 #include "manufacture/corners.hpp"
 #include "sim/fault.hpp"
 #include "sizing/eqmodel.hpp"
@@ -37,7 +36,6 @@
 namespace core = amsyn::core;
 namespace cache = amsyn::core::cache;
 namespace metrics = amsyn::core::metrics;
-namespace surrogate = amsyn::core::surrogate;
 namespace sim = amsyn::sim;
 namespace sz = amsyn::sizing;
 namespace mf = amsyn::manufacture;
@@ -168,7 +166,6 @@ core::ContextConfig deterministicConfig() {
   core::ContextConfig cfg = core::ContextConfig::fromEnv();
   cfg.evalCacheEnabled = true;
   cfg.evalCacheQuantum = 0.0;
-  cfg.surrogateMode = surrogate::Mode::Off;
   return cfg;
 }
 
@@ -180,13 +177,12 @@ core::ContextConfig deterministicConfig() {
 TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g3("AMSYN_EVAL_CACHE"),
       g4("AMSYN_EVAL_CACHE_CAPACITY"), g5("AMSYN_EVAL_CACHE_QUANTUM"),
-      g6("AMSYN_SURROGATE"), g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
+      g6("AMSYN_JOB_DEADLINE_MS"), g7("AMSYN_TOPOLOGY_SPACE");
   ::setenv("AMSYN_THREADS", "5", 1);
   ::setenv("AMSYN_SOLVER", "Sparse", 1);  // parser is case-insensitive
   ::setenv("AMSYN_EVAL_CACHE", "off", 1);
   ::setenv("AMSYN_EVAL_CACHE_CAPACITY", "1024", 1);
   ::setenv("AMSYN_EVAL_CACHE_QUANTUM", "0.25", 1);
-  ::setenv("AMSYN_SURROGATE", "ordering", 1);
   ::setenv("AMSYN_JOB_DEADLINE_MS", "900", 1);
   ::setenv("AMSYN_TOPOLOGY_SPACE", "generated", 1);
 
@@ -196,7 +192,6 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
   EXPECT_FALSE(cfg.evalCacheEnabled);
   EXPECT_EQ(cfg.evalCacheCapacity, 1024u);
   EXPECT_DOUBLE_EQ(cfg.evalCacheQuantum, 0.25);
-  EXPECT_EQ(cfg.surrogateMode, surrogate::Mode::Ordering);
   EXPECT_EQ(cfg.jobDeadlineMs, 900u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpaceKind::Generated);
 }
@@ -204,10 +199,10 @@ TEST(ContextConfig, FromEnvSnapshotsEveryKnob) {
 TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
   EnvVarGuard g1("AMSYN_THREADS"), g2("AMSYN_SOLVER"), g3("AMSYN_EVAL_CACHE"),
       g4("AMSYN_EVAL_CACHE_CAPACITY"), g5("AMSYN_EVAL_CACHE_QUANTUM"),
-      g6("AMSYN_SURROGATE"), g7("AMSYN_JOB_DEADLINE_MS"), g8("AMSYN_TOPOLOGY_SPACE");
+      g6("AMSYN_JOB_DEADLINE_MS"), g7("AMSYN_TOPOLOGY_SPACE");
   for (const char* name :
        {"AMSYN_THREADS", "AMSYN_SOLVER", "AMSYN_EVAL_CACHE",
-        "AMSYN_EVAL_CACHE_CAPACITY", "AMSYN_EVAL_CACHE_QUANTUM", "AMSYN_SURROGATE",
+        "AMSYN_EVAL_CACHE_CAPACITY", "AMSYN_EVAL_CACHE_QUANTUM",
         "AMSYN_JOB_DEADLINE_MS", "AMSYN_TOPOLOGY_SPACE"})
     ::unsetenv(name);
 
@@ -217,7 +212,6 @@ TEST(ContextConfig, FromEnvDefaultsWhenUnset) {
   EXPECT_TRUE(cfg.evalCacheEnabled);
   EXPECT_EQ(cfg.evalCacheCapacity, std::size_t{1} << 16);
   EXPECT_DOUBLE_EQ(cfg.evalCacheQuantum, 0.0);
-  EXPECT_EQ(cfg.surrogateMode, surrogate::Mode::Off);
   EXPECT_EQ(cfg.jobDeadlineMs, 0u);
   EXPECT_EQ(cfg.topologySpace, core::TopologySpaceKind::Legacy);
 }
@@ -246,10 +240,7 @@ TEST(ExecutionContext, AmbientIsCurrentWithoutAScopeAndRecordsNoSlice) {
   // Shared handles resolve to the legacy singletons.
   EXPECT_EQ(&core::ExecutionContext::ambient().evalCache(),
             &cache::EvalCache::instance());
-  EXPECT_EQ(&core::ExecutionContext::ambient().surrogateStore(),
-            &surrogate::Store::instance());
   EXPECT_FALSE(core::ExecutionContext::ambient().hasIsolatedEvalCache());
-  EXPECT_FALSE(core::ExecutionContext::ambient().hasIsolatedSurrogate());
 }
 
 TEST(ExecutionContext, ScopeInstallsNestsAndRestores) {
@@ -281,7 +272,6 @@ TEST(ExecutionContext, ChildInheritsConfigHandlesAndCurrentSolverPreference) {
   const auto child = parent.makeChild();
   EXPECT_EQ(child->config().jobDeadlineMs, 4321u);
   EXPECT_EQ(&child->evalCache(), &parent.evalCache());
-  EXPECT_EQ(&child->surrogateStore(), &parent.surrogateStore());
   EXPECT_FALSE(child->hasIsolatedEvalCache());
   EXPECT_EQ(child->solverKind(), core::SolverKind::Sparse);
   // The child's slice chains under the parent's.
@@ -437,22 +427,6 @@ TEST(ContextIsolation, SafeEvaluateCachesThroughTheInstalledContext) {
   // the isolated entry is not visible: a real evaluation runs again.
   (void)sz::safeEvaluate(model, x);
   EXPECT_EQ(model.evals(), 2);
-}
-
-TEST(ContextIsolation, IsolatedSurrogateStoreIsIndependentOfTheSharedOne) {
-  core::ContextConfig cfg = deterministicConfig();  // surrogateMode = Off
-  core::ExecutionContext ctx(cfg, core::ContextIsolation{.surrogate = true});
-  ASSERT_TRUE(ctx.hasIsolatedSurrogate());
-  ASSERT_NE(&ctx.surrogateStore(), &surrogate::Store::instance());
-  EXPECT_EQ(ctx.surrogateStore().mode(), surrogate::Mode::Off);
-
-  auto& shared = surrogate::Store::instance();
-  const surrogate::Mode sharedBefore = shared.mode();
-  shared.setMode(surrogate::Mode::Ordering);
-  EXPECT_EQ(ctx.surrogateStore().mode(), surrogate::Mode::Off);
-  ctx.surrogateStore().setMode(surrogate::Mode::Pruning);
-  EXPECT_EQ(shared.mode(), surrogate::Mode::Ordering);
-  shared.setMode(sharedBefore);
 }
 
 // ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@
 #include "core/evalcache.hpp"
 #include "core/flow.hpp"
 #include "core/parallel.hpp"
-#include "core/surrogate.hpp"
+#include "core/runreport.hpp"
 
 namespace core = amsyn::core;
 namespace sz = amsyn::sizing;
@@ -90,8 +90,7 @@ std::string neutralizeSpans(const std::string& json) {
   return json.substr(0, pos) + "\"spans\": \"<masked>\"\n}\n";
 }
 
-std::string normalizedFlowReport(
-    core::SurrogateOption surrogate = core::SurrogateOption::Off) {
+std::string normalizedFlowReport() {
   // Pinned configuration: fixed seed, fixed thread count, cache enabled at
   // defaults — the same flow tests/evalcache_test.cpp proves bit-identical
   // across all of these knobs, so this report is reproducible everywhere.
@@ -113,8 +112,6 @@ std::string normalizedFlowReport(
   opts.synthesis.anneal.coolingRate = 0.7;
   opts.synthesis.refineEvaluations = 40;
   opts.layout.annealPlacement = false;
-  opts.surrogate = surrogate;
-  amsyn::core::surrogate::Store::instance().clear();
   const auto result = core::synthesizeAmplifier(specs, ckt::defaultProcess(), opts);
   return neutralizeSpans(maskNumbers(core::flowRunReportJson(result)));
 }
@@ -141,24 +138,23 @@ TEST(ReportSchema, FlowRunReportMatchesGolden) {
          "AMSYN_REGEN_GOLDEN=1 ./build/tests/report_schema_test and review the diff";
 }
 
-TEST(ReportSchema, SchemaIsSurrogateModeIndependent) {
-  // The core.surrogate.* counters register eagerly (not at first use), so
-  // the report's key set — the schema — must be identical whether the
-  // surrogate is off, ordering, or pruning.  For Off and Ordering the whole
-  // normalized report matches (ordering keeps flow results bit-identical;
-  // tests/surrogate_test.cpp proves that at the result level); Pruning in
-  // this flow never fires (equation models are Cheap, below the prune
-  // gate's Heavy threshold), so its report matches too.
-  const std::string off = normalizedFlowReport(core::SurrogateOption::Off);
-  EXPECT_EQ(off, normalizedFlowReport(core::SurrogateOption::Ordering));
-  EXPECT_EQ(off, normalizedFlowReport(core::SurrogateOption::Pruning));
-  amsyn::core::surrogate::Store::instance().setMode(
-      amsyn::core::surrogate::Mode::Off);
-}
-
 TEST(ReportSchema, MaskingIsStableAcrossRuns) {
   // The masked form itself must be deterministic, or the golden comparison
   // would flake: two fresh flows in the same process produce byte-identical
   // normalized reports.
   EXPECT_EQ(normalizedFlowReport(), normalizedFlowReport());
+}
+
+// ---------------------------------------------------------------------------
+// RunReport::addRatio — no traffic must not read as a 0% rate
+
+TEST(RunReportRatio, ZeroDenominatorEmitsNullNotZero) {
+  core::RunReport r;
+  r.name = "ratio_test";
+  r.includeMetrics = false;
+  r.includeSpans = false;
+  r.addRatio("no_traffic", 0.0, 0.0).addRatio("real_rate", 1.0, 4.0);
+  const std::string json = r.toJson();
+  EXPECT_NE(json.find("\"no_traffic\": null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"real_rate\": 0.25"), std::string::npos) << json;
 }
